@@ -222,7 +222,7 @@ fn sfi_wallclock(trials: usize) -> (f64, f64, usize) {
 /// per-target fork rates the benchmark JSON records.
 ///
 /// One worker on both sides: the ratio measures the lane engine alone, not
-/// pool scaling. The two dimensions compose — `run_trials_batched` hands
+/// pool scaling. The two dimensions compose — `run_trials_batched_full` hands
 /// whole batches to the same `sim_exec` pool the scalar path uses.
 /// Lane width the batched side of [`lanes_wallclock`] runs at: the full
 /// 64-bit mask width, so a 400-trial quick campaign needs only 7 batch

@@ -1475,47 +1475,25 @@ fn run_one_batch<S: InstSource + Clone>(
     (execs, stats)
 }
 
-/// Execute the trial range `[start, start + len)` with
-/// [`CampaignConfig::lanes`]-way batching, returning execs in trial-index
-/// order — bit-identical to the scalar per-trial path (and to itself at
-/// any worker count; a batch is the pool's job unit and results scatter
-/// by global index). Falls back to the scalar path when `lanes == 0` or
-/// the campaign was prepared without checkpoints.
-pub fn run_trials_batched<S, F>(
-    prepared: &PreparedCampaign<S>,
-    factory: &F,
-    start: usize,
-    len: usize,
-    workers: usize,
-) -> Vec<TrialExec>
-where
-    S: InstSource + Clone + Sync,
-    F: Fn() -> SmtCore<S> + Sync,
-{
-    run_trials_batched_stats(prepared, factory, start, len, workers).0
-}
-
-/// [`run_trials_batched`] plus the worker pool's scheduling stats.
-pub fn run_trials_batched_stats<S, F>(
-    prepared: &PreparedCampaign<S>,
-    factory: &F,
-    start: usize,
-    len: usize,
-    workers: usize,
-) -> (Vec<TrialExec>, sim_exec::PoolStats)
-where
-    S: InstSource + Clone + Sync,
-    F: Fn() -> SmtCore<S> + Sync,
-{
-    let (execs, pool, _) = run_trials_batched_full(prepared, factory, start, len, workers);
-    (execs, pool)
-}
-
-/// [`run_trials_batched`] plus the worker pool's scheduling stats and the
-/// lane engine's per-target classification tally. The tally is `None`
-/// when the range fell back to the scalar per-trial path (`lanes == 0`,
-/// no checkpoints, or an empty range); otherwise it is deterministic —
-/// batches merge in plan order, which no worker count can reshuffle.
+/// Execute the trial range `[start, start + len)`, returning execs in
+/// trial-index order plus the worker pool's scheduling stats and the lane
+/// engine's per-target classification tally. This is the one entry point
+/// for a trial range: [`run_campaign`] runs the whole campaign through it
+/// and the campaign store runs each chunk through it.
+///
+/// With [`CampaignConfig::lanes`] `> 0` trials ride lane batches,
+/// bit-identical to the scalar per-trial path (and to itself at any
+/// worker count; a batch is the pool's job unit and results scatter by
+/// global index). The range falls back to the scalar path when
+/// `lanes == 0`, the campaign was prepared without checkpoints, or the
+/// range is empty; the tally is then `None`. Otherwise it is
+/// deterministic — batches merge in plan order, which no worker count can
+/// reshuffle.
+///
+/// With [`CampaignConfig::progress`] set, a range spanning the whole
+/// campaign prints a heartbeat line to stderr each time another
+/// twentieth of its trials completes (chunked callers would print one
+/// series per chunk, so they stay quiet).
 pub fn run_trials_batched_full<S, F>(
     prepared: &PreparedCampaign<S>,
     factory: &F,
@@ -1528,32 +1506,42 @@ where
     F: Fn() -> SmtCore<S> + Sync,
 {
     let lanes = prepared.cfg.lanes.min(64);
-    if lanes == 0 || prepared.checkpointed.is_none() || len == 0 {
-        let (execs, pool) =
-            sim_exec::run_indexed_stats(len, workers, |i| prepared.run_index(factory, start + i));
+    let batched = lanes > 0 && prepared.checkpointed.is_some() && len > 0;
+
+    // Heartbeat bookkeeping (stderr only; results are unaffected).
+    let report = prepared.cfg.progress && len == prepared.total_trials();
+    let t0 = std::time::Instant::now();
+    let completed = std::sync::atomic::AtomicU64::new(0);
+    let stride = (len as u64 / 20).max(1);
+    let mode = if batched {
+        format!(", {lanes} lanes")
+    } else {
+        String::new()
+    };
+    let heartbeat = |n: u64| {
+        if !report {
+            return;
+        }
+        let done = completed.fetch_add(n, std::sync::atomic::Ordering::Relaxed) + n;
+        if done / stride != (done - n) / stride || done == len as u64 {
+            let secs = t0.elapsed().as_secs_f64();
+            let rate = if secs > 0.0 { done as f64 / secs } else { 0.0 };
+            eprintln!("[sfi] {done}/{len} trials ({rate:.1}/s{mode})");
+        }
+    };
+
+    if !batched {
+        let (execs, pool) = sim_exec::run_indexed_stats(len, workers, |i| {
+            let exec = prepared.run_index(factory, start + i);
+            heartbeat(1);
+            exec
+        });
         return (execs, pool, None);
     }
     let batches = plan_batches(prepared, start, len, lanes);
-
-    // Heartbeat bookkeeping (stderr only; results are unaffected).
-    let t0 = std::time::Instant::now();
-    let completed = std::sync::atomic::AtomicU64::new(0);
-    let heartbeat_stride = (len as u64 / 20).max(1);
-
     let (per_batch, stats) = sim_exec::run_indexed_stats(batches.len(), workers, |b| {
         let (execs, batch_stats) = run_one_batch(prepared, &batches[b]);
-        if prepared.cfg.progress {
-            let done = completed
-                .fetch_add(execs.len() as u64, std::sync::atomic::Ordering::Relaxed)
-                + execs.len() as u64;
-            if done / heartbeat_stride != (done - execs.len() as u64) / heartbeat_stride
-                || done == len as u64
-            {
-                let secs = t0.elapsed().as_secs_f64();
-                let rate = if secs > 0.0 { done as f64 / secs } else { 0.0 };
-                eprintln!("[sfi] {done}/{len} trials ({rate:.1}/s, {lanes} lanes)");
-            }
-        }
+        heartbeat(execs.len() as u64);
         (execs, batch_stats)
     });
     let mut out: Vec<Option<TrialExec>> = vec![None; len];
@@ -1625,11 +1613,6 @@ where
     let golden_secs = golden_t0.elapsed().as_secs_f64();
     let total = prepared.total_trials();
 
-    // Heartbeat bookkeeping (stderr only; results are unaffected).
-    let trials_t0 = std::time::Instant::now();
-    let completed = std::sync::atomic::AtomicU64::new(0);
-    let heartbeat_stride = (total as u64 / 20).max(1);
-
     // Each trial is a pure function of the prepared state and its global
     // index, so the sim-exec pool's index-ordered merge makes the record
     // vector bit-identical for any worker count — and, because a restored
@@ -1638,23 +1621,9 @@ where
     // (early exit, restore distance) ride alongside each record. With
     // `lanes > 0` the batched engine groups trials onto shared follower
     // cores — same records, proven by the lane-equivalence tests.
-    let (trials, pool_stats, lane_stats) = if cfg.lanes > 0 && !cfg.replay_from_zero {
-        run_trials_batched_full(&prepared, &factory, 0, total, cfg.workers)
-    } else {
-        let (trials, pool_stats) = sim_exec::run_indexed_stats(total, cfg.workers, |i| {
-            let exec = prepared.run_index(&factory, i);
-            if cfg.progress {
-                let done = completed.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-                if done.is_multiple_of(heartbeat_stride) || done == total as u64 {
-                    let secs = trials_t0.elapsed().as_secs_f64();
-                    let rate = if secs > 0.0 { done as f64 / secs } else { 0.0 };
-                    eprintln!("[sfi] {done}/{total} trials ({rate:.1}/s)");
-                }
-            }
-            exec
-        });
-        (trials, pool_stats, None)
-    };
+    let trials_t0 = std::time::Instant::now();
+    let (trials, pool_stats, lane_stats) =
+        run_trials_batched_full(&prepared, &factory, 0, total, cfg.workers);
     let trial_secs = trials_t0.elapsed().as_secs_f64();
 
     let mut records = Vec::with_capacity(trials.len());

@@ -1,25 +1,35 @@
 //! The lane-parallel batched trial engine must be bit-identical to the
 //! scalar per-trial oracle — record for record, at lanes = 1/4/8/64 and
-//! workers = 1/2/4, and the read-only fault probe must agree with the
-//! real injection's landing on every sampled strike.
+//! workers = 1/2/4, under ICOUNT and FLUSH — and the read-only fault probe
+//! must agree with the real injection's landing on every sampled strike.
+//! FLUSH matters because the probe's timing-visibility rule branches on
+//! it: its L2-miss squash replays slots from their recorded PCs and
+//! addresses.
 //!
 //! `CampaignConfig::lanes = 0` keeps the scalar path alive precisely so
 //! this test can hold the batched path to it (the same pattern as the
-//! checkpoint and fast-forward equivalence proofs).
+//! checkpoint and fast-forward equivalence proofs); both run through the
+//! one trial-range entry point, `run_trials_batched_full`.
 
 use sim_inject::*;
-use sim_model::MachineConfig;
+use sim_model::{FetchPolicyKind, MachineConfig};
 use sim_pipeline::{FaultProbe, Landing, SimBudget, SmtCore};
 use sim_workload::{profile, TraceGenerator};
 
-fn factory() -> SmtCore {
-    let cfg = MachineConfig::ispass07_baseline().with_contexts(2);
-    let gens = ["bzip2", "mcf"]
-        .iter()
-        .enumerate()
-        .map(|(i, p)| TraceGenerator::new(profile(p).expect("profiled"), i as u64 + 7))
-        .collect();
-    SmtCore::new(cfg, gens)
+const POLICIES: [FetchPolicyKind; 2] = [FetchPolicyKind::Icount, FetchPolicyKind::Flush];
+
+fn factory(policy: FetchPolicyKind) -> impl Fn() -> SmtCore + Sync {
+    move || {
+        let cfg = MachineConfig::ispass07_baseline()
+            .with_contexts(2)
+            .with_fetch_policy(policy);
+        let gens = ["bzip2", "mcf"]
+            .iter()
+            .enumerate()
+            .map(|(i, p)| TraceGenerator::new(profile(p).expect("profiled"), i as u64 + 7))
+            .collect();
+        SmtCore::new(cfg, gens)
+    }
 }
 
 fn budget() -> SimBudget {
@@ -35,35 +45,38 @@ fn campaign(workers: usize, lanes: usize) -> CampaignConfig {
 
 #[test]
 fn batched_campaign_matches_scalar_oracle_at_every_lane_and_worker_count() {
-    let oracle = run_campaign(factory, &campaign(1, 0)).expect("scalar campaign runs");
-    for lanes in [1usize, 4, 8, 64] {
-        for workers in [1usize, 2, 4] {
-            let batched =
-                run_campaign(factory, &campaign(workers, lanes)).expect("batched campaign runs");
-            assert_eq!(
-                oracle.window, batched.window,
-                "{lanes} lanes, {workers} workers"
-            );
-            assert_eq!(
-                oracle.records, batched.records,
-                "batched records diverged from the scalar oracle at \
-                 {lanes} lanes, {workers} workers"
-            );
-            assert_eq!(
-                oracle.per_target, batched.per_target,
-                "{lanes} lanes, {workers} workers"
-            );
+    for policy in POLICIES {
+        let oracle = run_campaign(factory(policy), &campaign(1, 0)).expect("scalar campaign runs");
+        for lanes in [1usize, 4, 8, 64] {
+            for workers in [1usize, 2, 4] {
+                let batched = run_campaign(factory(policy), &campaign(workers, lanes))
+                    .expect("batched campaign runs");
+                assert_eq!(
+                    oracle.window, batched.window,
+                    "{policy:?}, {lanes} lanes, {workers} workers"
+                );
+                assert_eq!(
+                    oracle.records, batched.records,
+                    "batched records diverged from the scalar oracle at \
+                     {policy:?}, {lanes} lanes, {workers} workers"
+                );
+                assert_eq!(
+                    oracle.per_target, batched.per_target,
+                    "{policy:?}, {lanes} lanes, {workers} workers"
+                );
+            }
         }
     }
 }
 
 #[test]
 fn batched_trial_range_matches_scalar_execs_including_metrics() {
-    // run_trials_batched is the store's chunk entry point: hold a chunk's
+    // run_trials_batched_full is the store's chunk entry point: hold a chunk's
     // worth of TrialExecs (records *and* the early-exit / restore-distance
     // diagnostics) to the scalar path, over an offset range so the
     // start/len plumbing is exercised too.
     let cfg = campaign(1, 4);
+    let factory = factory(FetchPolicyKind::Icount);
     let prepared = PreparedCampaign::prepare(&factory, &cfg).expect("prepare");
     let total = prepared.total_trials();
     let (start, len) = (3, total - 5);
@@ -71,7 +84,7 @@ fn batched_trial_range_matches_scalar_execs_including_metrics() {
         .map(|i| prepared.run_index(&factory, start + i))
         .collect();
     for workers in [1usize, 2, 4] {
-        let batched = run_trials_batched(&prepared, &factory, start, len, workers);
+        let (batched, _, _) = run_trials_batched_full(&prepared, &factory, start, len, workers);
         assert_eq!(scalar, batched, "{workers} workers");
     }
 }
@@ -82,13 +95,15 @@ fn lanes_on_a_scalar_prepared_campaign_fall_back_to_the_oracle() {
     // the batched entry point must fall back to (and match) the oracle.
     let mut cfg = campaign(1, 8);
     cfg.replay_from_zero = true;
+    let factory = factory(FetchPolicyKind::Icount);
     let prepared = PreparedCampaign::prepare(&factory, &cfg).expect("prepare");
     let total = prepared.total_trials();
     let scalar: Vec<TrialExec> = (0..total)
         .map(|i| prepared.run_index(&factory, i))
         .collect();
-    let batched = run_trials_batched(&prepared, &factory, 0, total, 2);
+    let (batched, _, lane_stats) = run_trials_batched_full(&prepared, &factory, 0, total, 2);
     assert_eq!(scalar, batched);
+    assert!(lane_stats.is_none(), "the fallback reports no lane tally");
 }
 
 #[test]
@@ -97,51 +112,54 @@ fn probe_agrees_with_injection_on_every_sampled_strike() {
     // injection cycle, probe (read-only), then inject for real: the probe
     // must predict the landing exactly, and the metadata-probe classes
     // must match what injection actually mutated.
-    let cfg = campaign(1, 0);
-    let prepared = PreparedCampaign::prepare(&factory, &cfg).expect("prepare");
-    let ckpt = prepared.checkpointed_golden().expect("checkpointed path");
-    let mut checked = 0u64;
-    for i in 0..prepared.total_trials() {
-        let s = prepared.sample(i);
-        let mut core = ckpt
-            .snapshots()
-            .filter(|(c, _)| *c <= s.cycle)
-            .last()
-            .expect("snapshot at or before cycle")
-            .1
-            .clone();
-        while core.cycle() < s.cycle {
-            core.step_fast_bounded(s.cycle);
-        }
-        let digest_before = core.state_digest();
-        let probe = core.probe_fault(&s.fault);
-        assert_eq!(
-            core.state_digest(),
-            digest_before,
-            "probe mutated state for {:?}",
-            s.fault
-        );
-        let landing = core.inject_fault(&s.fault);
-        match probe {
-            FaultProbe::Empty => assert_eq!(landing, Landing::Empty, "{:?}", s.fault),
-            FaultProbe::Benign => assert_eq!(landing, Landing::Benign, "{:?}", s.fault),
-            FaultProbe::Detected => assert_eq!(landing, Landing::Detected, "{:?}", s.fault),
-            FaultProbe::TaintSlot { .. } | FaultProbe::PoisonReg { .. } => {
-                assert_eq!(landing, Landing::Injected, "{:?}", s.fault);
+    for policy in POLICIES {
+        let cfg = campaign(1, 0);
+        let prepared = PreparedCampaign::prepare(&factory(policy), &cfg).expect("prepare");
+        let ckpt = prepared.checkpointed_golden().expect("checkpointed path");
+        let mut checked = 0u64;
+        for i in 0..prepared.total_trials() {
+            let s = prepared.sample(i);
+            let mut core = ckpt
+                .snapshots()
+                .filter(|(c, _)| *c <= s.cycle)
+                .last()
+                .expect("snapshot at or before cycle")
+                .1
+                .clone();
+            while core.cycle() < s.cycle {
+                core.step_fast_bounded(s.cycle);
             }
-            // The resident classes claim a strike on *valid* cache/TLB
-            // state: injection must land (Injected), never find the slot
-            // empty or the field idle.
-            FaultProbe::CacheResident { .. }
-            | FaultProbe::CacheDirtyLine { .. }
-            | FaultProbe::TlbResident { .. } => {
-                assert_eq!(landing, Landing::Injected, "{:?}", s.fault);
+            let digest_before = core.state_digest();
+            let probe = core.probe_fault(&s.fault);
+            assert_eq!(
+                core.state_digest(),
+                digest_before,
+                "probe mutated state for {:?} under {policy:?}",
+                s.fault
+            );
+            let landing = core.inject_fault(&s.fault);
+            let what = format!("{:?} under {policy:?}", s.fault);
+            match probe {
+                FaultProbe::Empty => assert_eq!(landing, Landing::Empty, "{what}"),
+                FaultProbe::Benign => assert_eq!(landing, Landing::Benign, "{what}"),
+                FaultProbe::Detected => assert_eq!(landing, Landing::Detected, "{what}"),
+                FaultProbe::TaintSlot { .. } | FaultProbe::PoisonReg { .. } => {
+                    assert_eq!(landing, Landing::Injected, "{what}");
+                }
+                // The resident classes claim a strike on *valid* cache/TLB
+                // state: injection must land (Injected), never find the
+                // slot empty or the field idle.
+                FaultProbe::CacheResident { .. }
+                | FaultProbe::CacheDirtyLine { .. }
+                | FaultProbe::TlbResident { .. } => {
+                    assert_eq!(landing, Landing::Injected, "{what}");
+                }
+                // Conservative class: the only claim is that the scalar
+                // fork handles it; any landing is possible.
+                FaultProbe::Diverges => {}
             }
-            // Conservative class: the only claim is that the scalar fork
-            // handles it; any landing is possible.
-            FaultProbe::Diverges => {}
+            checked += 1;
         }
-        checked += 1;
+        assert_eq!(checked, prepared.total_trials() as u64);
     }
-    assert_eq!(checked, prepared.total_trials() as u64);
 }

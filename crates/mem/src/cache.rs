@@ -120,18 +120,21 @@ pub enum CacheEvent {
     },
 }
 
-/// Effect of an injected tag-array fault (see [`Cache::inject_tag`]).
+/// What a tag-array strike does to a line (see [`Cache::probe_tag`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TagInject {
+pub enum TagStrike {
     /// The struck line was invalid: nothing to corrupt.
     Empty,
     /// The struck bit is architecturally idle (LRU state, or a dirty bit
     /// flipping clean data to "dirty").
     Benign,
-    /// A clean line was lost; the next access refills it from below.
-    CleanInvalidate,
-    /// A dirty line was lost; its words' only good copies are gone.
-    DirtyLost,
+    /// The line can no longer be found and is lost. A clean line is
+    /// refilled from below on its next access; a dirty line's words lose
+    /// their only good copy.
+    Lost {
+        /// The lost line was dirty.
+        dirty: bool,
+    },
 }
 
 /// A set-associative write-back cache.
@@ -560,11 +563,6 @@ impl Cache {
         self.words_per_line
     }
 
-    fn line_at(&mut self, line_idx: u64) -> &mut Line {
-        // The campaign samples the flat physical line index directly.
-        &mut self.lines[line_idx as usize]
-    }
-
     fn line_base(&self, line_idx: u64) -> u64 {
         let assoc = self.cfg.assoc as u64;
         let set = line_idx / assoc;
@@ -573,62 +571,9 @@ impl Cache {
         ((tag << index_bits) | set) << self.offset_bits
     }
 
-    /// Flip a bit in data word `word` of physical line `line_idx`: the word
-    /// now holds a corrupt value. Returns `false` (nothing to corrupt) if
-    /// the line is invalid.
-    pub fn inject_data_word(&mut self, line_idx: u64, word: usize) -> bool {
-        if !self.lines[line_idx as usize].valid {
-            return false;
-        }
-        let wbase = self.word_base(line_idx as usize);
-        let w = word.min(self.words_per_line - 1);
-        self.words[wbase + w].poisoned = true;
-        true
-    }
-
-    /// Flip tag-array bit `bit` of physical line `line_idx`.
-    pub fn inject_tag(&mut self, line_idx: u64, bit: u64) -> TagInject {
-        let base = {
-            let line = self.line_at(line_idx);
-            if !line.valid {
-                return TagInject::Empty;
-            }
-            if bit >= 22 {
-                // Replacement-state bits: performance-only.
-                return TagInject::Benign;
-            }
-            if bit == 21 && !line.dirty {
-                // Clean line spuriously marked dirty: the eventual
-                // write-back rewrites the identical data.
-                self.line_at(line_idx).dirty = true;
-                return TagInject::Benign;
-            }
-            self.line_base(line_idx)
-        };
-        // Address-tag, valid or (for a dirty line) dirty bit: the line can no
-        // longer be found (or its write-back is lost / misdirected). Model as
-        // an invalidation; a dirty victim's words lose their only good copy.
-        let words_per_line = self.words_per_line;
-        let wbase = self.word_base(line_idx as usize);
-        let line = self.line_at(line_idx);
-        let was_dirty = line.dirty;
-        line.valid = false;
-        line.dirty = false;
-        for ws in &mut self.words[wbase..wbase + words_per_line] {
-            ws.poisoned = false;
-        }
-        if was_dirty {
-            for w in 0..words_per_line {
-                self.poison_spill.push(base + 8 * w as u64);
-            }
-            TagInject::DirtyLost
-        } else {
-            TagInject::CleanInvalidate
-        }
-    }
-
-    /// Read-only mirror of [`Cache::inject_data_word`]: the clamped word
-    /// index the strike would poison, or `None` when the line is invalid.
+    /// Where a strike on data word `word` of physical line `line_idx`
+    /// lands: the clamped word index it corrupts, or `None` when the line
+    /// is invalid (nothing to corrupt).
     pub fn probe_data_word(&self, line_idx: u64, word: usize) -> Option<usize> {
         if !self.lines[line_idx as usize].valid {
             return None;
@@ -636,24 +581,46 @@ impl Cache {
         Some(word.min(self.words_per_line - 1))
     }
 
-    /// Read-only mirror of [`Cache::inject_tag`], branch for branch.
-    ///
-    /// The one mutation it elides — bit 21 on a clean line sets the dirty
-    /// bit before returning `Benign` — ends the scalar trial immediately
-    /// (a `Benign` landing is classified without running the machine), so
-    /// skipping it cannot change any observable trial result.
-    pub fn probe_tag(&self, line_idx: u64, bit: u64) -> TagInject {
+    /// What flipping tag-array bit `bit` of physical line `line_idx` does.
+    /// An address-tag, valid or (for a dirty line) dirty bit makes the
+    /// line unfindable (or its write-back lost / misdirected), modeled as
+    /// an invalidation; a clean line spuriously marked dirty is benign
+    /// (the eventual write-back rewrites the identical data), as are the
+    /// replacement-state bits.
+    pub fn probe_tag(&self, line_idx: u64, bit: u64) -> TagStrike {
         let line = &self.lines[line_idx as usize];
         if !line.valid {
-            return TagInject::Empty;
-        }
-        if bit >= 22 || (bit == 21 && !line.dirty) {
-            return TagInject::Benign;
-        }
-        if line.dirty {
-            TagInject::DirtyLost
+            TagStrike::Empty
+        } else if bit >= 22 || (bit == 21 && !line.dirty) {
+            TagStrike::Benign
         } else {
-            TagInject::CleanInvalidate
+            TagStrike::Lost { dirty: line.dirty }
+        }
+    }
+
+    /// Mark data word `word` of physical line `line_idx` corrupt.
+    pub fn poison_word(&mut self, line_idx: u64, word: usize) {
+        let wbase = self.word_base(line_idx as usize);
+        self.words[wbase + word].poisoned = true;
+    }
+
+    /// Invalidate physical line `line_idx`, a tag strike's loss. A dirty
+    /// line's words lose their only good copy: their addresses queue for
+    /// [`Cache::drain_poison_spill`].
+    pub fn invalidate_line(&mut self, line_idx: u64) {
+        let base = self.line_base(line_idx);
+        let wbase = self.word_base(line_idx as usize);
+        let words_per_line = self.words_per_line;
+        let line = &mut self.lines[line_idx as usize];
+        let was_dirty = line.dirty;
+        line.valid = false;
+        line.dirty = false;
+        for ws in &mut self.words[wbase..wbase + words_per_line] {
+            ws.poisoned = false;
+        }
+        if was_dirty {
+            self.poison_spill
+                .extend((0..words_per_line).map(|w| base + 8 * w as u64));
         }
     }
 

@@ -14,7 +14,7 @@
 //! absolute cycle stamps at eviction/finalize time, which makes them
 //! skip-invariant by construction.
 
-use crate::cache::{AccessKind, Cache, CacheEvent, CacheStats, TagInject};
+use crate::cache::{AccessKind, Cache, CacheEvent, CacheStats, TagStrike};
 use crate::tlb::{Tlb, TlbStats};
 use avf_core::{AvfEngine, StructureId};
 use sim_model::{MachineConfig, ThreadId};
@@ -278,49 +278,48 @@ impl MemoryHierarchy {
         self.dl1.words_per_line()
     }
 
-    /// Poison one DL1 data word; `false` if the struck line was invalid.
-    pub fn inject_dl1_data(&mut self, line_idx: u64, word: usize) -> bool {
-        self.dl1.inject_data_word(line_idx, word)
-    }
-
-    /// Strike bit `bit` of a DL1 tag entry (see [`Cache::inject_tag`]).
-    pub fn inject_dl1_tag(&mut self, line_idx: u64, bit: u64) -> TagInject {
-        let r = self.dl1.inject_tag(line_idx, bit);
-        self.stale_words.extend(self.dl1.drain_poison_spill());
-        r
-    }
-
-    /// Invalidate a DTLB entry; `false` if it was already invalid.
-    pub fn inject_dtlb(&mut self, entry_idx: u64) -> bool {
-        self.dtlb.inject_entry(entry_idx)
-    }
-
-    /// Invalidate an ITLB entry; `false` if it was already invalid.
-    pub fn inject_itlb(&mut self, entry_idx: u64) -> bool {
-        self.itlb.inject_entry(entry_idx)
-    }
-
-    /// Read-only mirror of [`MemoryHierarchy::inject_dl1_data`]: the
-    /// clamped word the strike would poison, or `None` if the line is
-    /// invalid.
+    /// Where a strike on data word `word` of DL1 line `line_idx` lands
+    /// (see [`Cache::probe_data_word`]).
     pub fn probe_dl1_data(&self, line_idx: u64, word: usize) -> Option<usize> {
         self.dl1.probe_data_word(line_idx, word)
     }
 
-    /// Read-only mirror of [`MemoryHierarchy::inject_dl1_tag`].
-    pub fn probe_dl1_tag(&self, line_idx: u64, bit: u64) -> TagInject {
+    /// What a strike on bit `bit` of a DL1 tag entry does (see
+    /// [`Cache::probe_tag`]).
+    pub fn probe_dl1_tag(&self, line_idx: u64, bit: u64) -> TagStrike {
         self.dl1.probe_tag(line_idx, bit)
     }
 
-    /// Read-only mirror of [`MemoryHierarchy::inject_dtlb`]: the flat
-    /// entry the strike would invalidate, or `None` if already invalid.
-    pub fn probe_dtlb(&self, entry_idx: u64) -> Option<u32> {
-        self.dtlb.probe_entry(entry_idx)
+    /// Where a strike on entry `entry_idx` of the instruction (`itlb`) or
+    /// data TLB lands (see [`Tlb::probe_entry`]).
+    pub fn probe_tlb(&self, itlb: bool, entry_idx: u64) -> Option<u32> {
+        if itlb {
+            self.itlb.probe_entry(entry_idx)
+        } else {
+            self.dtlb.probe_entry(entry_idx)
+        }
     }
 
-    /// Read-only mirror of [`MemoryHierarchy::inject_itlb`].
-    pub fn probe_itlb(&self, entry_idx: u64) -> Option<u32> {
-        self.itlb.probe_entry(entry_idx)
+    /// Mark one DL1 data word corrupt.
+    pub fn poison_dl1_word(&mut self, line_idx: u64, word: usize) {
+        self.dl1.poison_word(line_idx, word);
+    }
+
+    /// Invalidate a DL1 line; a dirty line's words become stale memory
+    /// addresses.
+    pub fn invalidate_dl1_line(&mut self, line_idx: u64) {
+        self.dl1.invalidate_line(line_idx);
+        self.stale_words.extend(self.dl1.drain_poison_spill());
+    }
+
+    /// Invalidate flat entry `flat` of the instruction (`itlb`) or data
+    /// TLB.
+    pub fn invalidate_tlb_entry(&mut self, itlb: bool, flat: u32) {
+        if itlb {
+            self.itlb.invalidate_entry(flat);
+        } else {
+            self.dtlb.invalidate_entry(flat);
+        }
     }
 
     /// Arm the DL1 consumption feed. This is the only feed the

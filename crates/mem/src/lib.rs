@@ -40,6 +40,6 @@ pub mod cache;
 pub mod hierarchy;
 pub mod tlb;
 
-pub use cache::{AccessKind, Cache, CacheEvent, CacheStats, TagInject};
+pub use cache::{AccessKind, Cache, CacheEvent, CacheStats, TagStrike};
 pub use hierarchy::{AccessResult, MemoryHierarchy};
 pub use tlb::{Tlb, TlbEvent, TlbStats};

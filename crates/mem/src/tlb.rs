@@ -161,26 +161,10 @@ impl Tlb {
         }
     }
 
-    /// Fault injection: invalidate physical entry `entry_idx` (over
-    /// `sets * assoc` slots). Returns `false` if the slot was already
-    /// invalid (nothing to corrupt). A lost translation is refilled by the
-    /// next page walk, and translation is modeled as an identity mapping,
-    /// so an injected TLB fault perturbs timing only.
-    pub fn inject_entry(&mut self, entry_idx: u64) -> bool {
-        let assoc = self.cfg.assoc as u64;
-        let set = (entry_idx / assoc) as usize % self.sets.len();
-        let way = (entry_idx % assoc) as usize;
-        let e = &mut self.sets[set][way];
-        if !e.valid {
-            return false;
-        }
-        e.valid = false;
-        true
-    }
-
-    /// Read-only mirror of [`Tlb::inject_entry`]: the flat
-    /// `set * assoc + way` index the strike would invalidate, or `None`
-    /// when that slot is already invalid (nothing to corrupt).
+    /// Where a strike on physical entry `entry_idx` (over `sets * assoc`
+    /// slots) lands: the flat `set * assoc + way` index of the valid entry
+    /// it would lose, or `None` when that slot is already invalid (nothing
+    /// to corrupt).
     pub fn probe_entry(&self, entry_idx: u64) -> Option<u32> {
         let assoc = self.cfg.assoc as u64;
         let set = (entry_idx / assoc) as usize % self.sets.len();
@@ -189,6 +173,15 @@ impl Tlb {
             return None;
         }
         Some((set * assoc as usize + way) as u32)
+    }
+
+    /// Invalidate flat entry `flat` (as [`Tlb::probe_entry`] reports it).
+    /// A lost translation is refilled by the next page walk, and
+    /// translation is modeled as an identity mapping, so the loss perturbs
+    /// timing only.
+    pub fn invalidate_entry(&mut self, flat: u32) {
+        let assoc = self.cfg.assoc as usize;
+        self.sets[flat as usize / assoc][flat as usize % assoc].valid = false;
     }
 
     /// Translate `addr` for `thread` at cycle `now` (architecturally live).

@@ -1,7 +1,9 @@
 //! The SMT core: fetch → dispatch → issue → execute → commit, with
 //! deferred ACE-bit banking at every structure.
 
-use crate::inject::{Fault, FaultProbe, FaultState, FaultTarget, Landing, RetiredInst};
+use crate::inject::{
+    Fault, FaultEffect, FaultProbe, FaultState, FaultTarget, Landing, RetiredInst, Rewrite,
+};
 use crate::lanes::LaneEvent;
 use crate::resources::{FreeList, FuPool, IqEntry, IssueQueue, RegTracker};
 use crate::result::{SimResult, ThreadStats};
@@ -11,7 +13,7 @@ use crate::thread::{MemDep, ThreadCtx, FETCH_QUEUE_CAP};
 use crate::tracer::{TraceConfig, Tracer};
 use avf_core::{budgets, classify, AvfEngine, DeallocKind, StructureId};
 use sim_frontend::{FetchPolicyEngine, PredictorConfigExt, ThreadTelemetry};
-use sim_mem::MemoryHierarchy;
+use sim_mem::{MemoryHierarchy, TagStrike};
 use sim_model::{ArchReg, FetchPolicyKind, MachineConfig, OpClass, PhysReg, ThreadId};
 #[cfg(feature = "trace")]
 use sim_trace::TraceSink as _;
@@ -1819,76 +1821,184 @@ impl<S: InstSource> SmtCore<S> {
     }
 
     /// Flip one bit *now*: apply `fault` to the current microarchitectural
-    /// state and report what the strike landed on. Entry indices are
-    /// uniform over each array's physical entries, so strikes on empty or
-    /// architecturally idle state return [`Landing::Empty`] /
-    /// [`Landing::Benign`] — exactly the derating the ACE model accounts
-    /// for analytically.
-    ///
-    /// Wrong-path occupants return [`Landing::Benign`]: the squash that
-    /// removes them discards the corrupt entry wholesale (and the matching
-    /// ACE classification is un-ACE).
+    /// state and report what the strike landed on. The decision is
+    /// `resolve_fault`'s, the one statement of fault semantics; this only
+    /// applies the effect it found, in O(1). Strikes on empty or
+    /// architecturally idle state land [`Landing::Empty`] /
+    /// [`Landing::Benign`] without mutating anything.
     pub fn inject_fault(&mut self, fault: &Fault) -> Landing {
-        match fault.target {
-            FaultTarget::Iq => self.inject_iq(fault.entry, fault.bit),
-            FaultTarget::Rob => self.inject_rob(fault.entry, fault.bit),
-            FaultTarget::LsqTag => self.inject_lsq(fault.entry, fault.bit),
-            FaultTarget::RegFile => self.inject_regfile(fault.entry),
-            FaultTarget::Fu => self.inject_fu(fault.entry, fault.bit),
-            FaultTarget::Dl1Data => {
-                let word = (fault.bit / 64) as usize % self.mem.dl1_words_per_line();
-                if self.mem.inject_dl1_data(fault.entry, word) {
-                    Landing::Injected
+        match self.resolve_fault(fault) {
+            FaultEffect::Empty => return Landing::Empty,
+            FaultEffect::Benign => return Landing::Benign,
+            FaultEffect::Detected => {
+                self.faults.detected = true;
+                return Landing::Detected;
+            }
+            FaultEffect::Taint {
+                thread,
+                slab,
+                rewrite,
+            } => {
+                let slot = &mut self.threads[thread as usize].slab[slab as usize];
+                match rewrite {
+                    Rewrite::None => {}
+                    Rewrite::SrcTag { idx, reg } => slot.srcs_phys[idx as usize] = Some(reg),
+                    Rewrite::Addr { xor } => {
+                        if let Some(m) = &mut slot.inst.mem {
+                            m.addr ^= xor;
+                        }
+                    }
+                    Rewrite::Pc { xor } => slot.inst.pc ^= xor,
+                }
+                slot.tainted = true;
+            }
+            FaultEffect::Poison { fp, reg } => self.faults.poison(fp)[reg.index()] = true,
+            FaultEffect::Dl1Word { line, word } => {
+                self.mem.poison_dl1_word(line as u64, word as usize)
+            }
+            FaultEffect::Dl1Line { line, .. } => self.mem.invalidate_dl1_line(line as u64),
+            FaultEffect::Tlb { itlb, entry } => self.mem.invalidate_tlb_entry(itlb, entry),
+        }
+        Landing::Injected
+    }
+
+    /// Predict what [`SmtCore::inject_fault`] would do *without mutating
+    /// anything*: the same `resolve_fault` decision, mapped to the lane
+    /// engine's classes. The one rule added here is timing visibility: a
+    /// taint whose rewrite feeds back into scheduling reports
+    /// [`FaultProbe::Diverges`].
+    ///
+    /// No cache or TLB strike forks up front. Data poison is metadata
+    /// until a load reads it, and clean-tag / TLB invalidations perturb
+    /// timing only (identity-mapped translation, refills restore clean
+    /// lines). Even a dirty-line tag strike rides — the struck machine is
+    /// golden minus one valid line, timing-identical until the line or
+    /// its set is touched — and the lane engine forks late, on first
+    /// touch, via its doom path.
+    pub fn probe_fault(&self, fault: &Fault) -> FaultProbe {
+        match self.resolve_fault(fault) {
+            FaultEffect::Empty => FaultProbe::Empty,
+            FaultEffect::Benign => FaultProbe::Benign,
+            FaultEffect::Detected => FaultProbe::Detected,
+            FaultEffect::Taint {
+                thread,
+                slab,
+                rewrite,
+            } => {
+                if self.rewrite_feeds_timing(thread, slab, rewrite) {
+                    FaultProbe::Diverges
                 } else {
-                    Landing::Empty
+                    FaultProbe::TaintSlot { thread, slab }
                 }
             }
-            FaultTarget::Dl1Tag => match self.mem.inject_dl1_tag(fault.entry, fault.bit % 24) {
-                sim_mem::TagInject::Empty => Landing::Empty,
-                sim_mem::TagInject::Benign => Landing::Benign,
-                // The refill restores the lost clean line; only timing
-                // changes. Run the trial anyway: that is the measurement.
-                sim_mem::TagInject::CleanInvalidate => Landing::Injected,
-                sim_mem::TagInject::DirtyLost => Landing::Injected,
+            FaultEffect::Poison { fp, reg } => FaultProbe::PoisonReg { fp, reg: reg.0 },
+            FaultEffect::Dl1Word { line, word } => FaultProbe::CacheResident {
+                line,
+                word: Some(word),
             },
-            FaultTarget::Dtlb => {
-                // A lost translation is refilled by the page walk; with the
-                // model's identity mapping the refill is identical, so these
-                // strikes measure as masked — the gap to the nonzero ACE
-                // estimate is the model's conservatism on TLBs.
-                if self.mem.inject_dtlb(fault.entry) {
-                    Landing::Injected
-                } else {
-                    Landing::Empty
+            FaultEffect::Dl1Line { line, dirty: false } => {
+                FaultProbe::CacheResident { line, word: None }
+            }
+            FaultEffect::Dl1Line { line, dirty: true } => FaultProbe::CacheDirtyLine { line },
+            FaultEffect::Tlb { itlb, entry } => FaultProbe::TlbResident { itlb, entry },
+        }
+    }
+
+    /// The timing-visibility rule. After dispatch a slot's flipped fields
+    /// are dead metadata — only the taint is observable — except where
+    /// scheduling consults them again:
+    /// * a rewritten source tag changes what the op waits on and reads;
+    /// * a store's address is checked by every younger load's dependence
+    ///   scan, and a load's address is consumed at issue (`data_read` plus
+    ///   the store-address scan), so a not-yet-issued load's address
+    ///   feeds timing;
+    /// * a not-yet-issued load also trains the miss predictors with its PC
+    ///   at issue;
+    /// * FLUSH's L2-miss squash replays slots by refetching from their
+    ///   recorded PCs, re-issuing at their recorded addresses.
+    ///
+    /// Past issue the classifier short-circuits on the taint before
+    /// diffing logged addresses, and the PC record feeds only the commit
+    /// log, so a post-issue load address and any ROB PC ride otherwise.
+    fn rewrite_feeds_timing(&self, thread: u8, slab: u32, rewrite: Rewrite) -> bool {
+        let slot = &self.threads[thread as usize].slab[slab as usize];
+        let waiting_load = slot.inst.op == OpClass::Load && slot.state == SlotState::Waiting;
+        match rewrite {
+            Rewrite::None => false,
+            Rewrite::SrcTag { .. } => true,
+            Rewrite::Addr { .. } if slot.inst.op != OpClass::Load => true,
+            Rewrite::Addr { .. } | Rewrite::Pc { .. } => {
+                waiting_load || self.cfg.fetch_policy == FetchPolicyKind::Flush
+            }
+        }
+    }
+
+    /// The single statement of fault semantics: where `fault` lands on the
+    /// current state and what it would rewrite, without mutating anything.
+    /// Entry indices are uniform over each array's physical entries, so
+    /// strikes on empty or architecturally idle state resolve
+    /// [`FaultEffect::Empty`] / [`FaultEffect::Benign`] — exactly the
+    /// derating the ACE model accounts for analytically. Wrong-path
+    /// occupants resolve `Benign`: the squash that removes them discards
+    /// the corrupt entry wholesale (and the matching ACE classification is
+    /// un-ACE).
+    pub(crate) fn resolve_fault(&self, fault: &Fault) -> FaultEffect {
+        let (entry, bit) = (fault.entry, fault.bit);
+        match fault.target {
+            FaultTarget::Iq => self.resolve_iq(entry, bit),
+            FaultTarget::Rob => self.resolve_rob(entry, bit),
+            FaultTarget::LsqTag => self.resolve_lsq(entry, bit),
+            FaultTarget::RegFile => self.resolve_regfile(entry),
+            FaultTarget::Fu => self.resolve_fu(entry, bit),
+            FaultTarget::Dl1Data => {
+                let word = (bit / 64) as usize % self.mem.dl1_words_per_line();
+                match self.mem.probe_dl1_data(entry, word) {
+                    Some(w) => FaultEffect::Dl1Word {
+                        line: entry as u32,
+                        word: w as u8,
+                    },
+                    None => FaultEffect::Empty,
                 }
             }
-            FaultTarget::Itlb => {
-                if self.mem.inject_itlb(fault.entry) {
-                    Landing::Injected
-                } else {
-                    Landing::Empty
+            // A clean line lost to a tag strike is refilled from below:
+            // only timing changes. The trial runs anyway — that is the
+            // measurement.
+            FaultTarget::Dl1Tag => match self.mem.probe_dl1_tag(entry, bit % 24) {
+                TagStrike::Empty => FaultEffect::Empty,
+                TagStrike::Benign => FaultEffect::Benign,
+                TagStrike::Lost { dirty } => FaultEffect::Dl1Line {
+                    line: entry as u32,
+                    dirty,
+                },
+            },
+            // A lost translation is refilled by the page walk; with the
+            // model's identity mapping the refill is identical, so these
+            // strikes measure as masked — the gap to the nonzero ACE
+            // estimate is the model's conservatism on TLBs.
+            FaultTarget::Dtlb | FaultTarget::Itlb => {
+                let itlb = fault.target == FaultTarget::Itlb;
+                match self.mem.probe_tlb(itlb, entry) {
+                    Some(entry) => FaultEffect::Tlb { itlb, entry },
+                    None => FaultEffect::Empty,
                 }
             }
         }
     }
 
-    /// Mark control-state corruption as a detectable fault.
-    fn detect(&mut self) -> Landing {
-        self.faults.detected = true;
-        Landing::Detected
-    }
-
-    fn inject_iq(&mut self, entry: u64, bit: u64) -> Landing {
+    fn resolve_iq(&self, entry: u64, bit: u64) -> FaultEffect {
         let Some(&e) = self.iq.entries().get(entry as usize) else {
-            return Landing::Empty; // struck an unoccupied IQ entry
+            return FaultEffect::Empty; // struck an unoccupied IQ entry
         };
-        let (thread, ftag) = (e.thread, e.ftag);
-        let t = thread.index();
-        let int_pool = self.cfg.int_phys_regs;
-        let fp_pool = self.cfg.fp_phys_regs;
-        let slot = self.threads[t].slot_mut(ftag).expect("IQ entry has a slot");
+        // IQ entries are removed on squash, so the slab reference is live.
+        let slot = &self.threads[e.thread.index()].slab[e.slot as usize];
+        debug_assert_eq!(slot.ftag, e.ftag, "IQ entry without ROB slot");
+        let taint = |rewrite| FaultEffect::Taint {
+            thread: e.thread.index() as u8,
+            slab: e.slot,
+            rewrite,
+        };
         if slot.inst.wrong_path {
-            return Landing::Benign;
+            return FaultEffect::Benign;
         }
         let b = bit % budgets::iq::ENTRY;
         // Entry layout: opcode | src0 | src1 | dest tag | immediate | status.
@@ -1897,460 +2007,174 @@ impl<S: InstSource> SmtCore<S> {
         let imm_end = dest_end + budgets::iq::IMMEDIATE;
         if b < budgets::iq::OPCODE {
             // A corrupted opcode decodes as a different/illegal operation.
-            self.detect()
+            FaultEffect::Detected
         } else if b < src_end {
             let idx = ((b - budgets::iq::OPCODE) / budgets::iq::SRC_TAG) as usize;
             let tag_bit = (b - budgets::iq::OPCODE) % budgets::iq::SRC_TAG;
             let Some(p) = slot.srcs_phys[idx] else {
-                return Landing::Benign; // the op has no such source
-            };
-            let pool = if slot.inst.srcs[idx].expect("arch src").is_fp() {
-                fp_pool
-            } else {
-                int_pool
-            };
-            let flipped = (p.0 ^ (1 << tag_bit.min(15))) as u32 % pool;
-            if flipped == p.0 as u32 {
-                return Landing::Benign;
-            }
-            // The op now waits on — and reads — the wrong register: its
-            // result is corrupt, and it may wait forever (hang → detected).
-            slot.srcs_phys[idx] = Some(PhysReg(flipped as u16));
-            slot.tainted = true;
-            Landing::Injected
-        } else if b < dest_end {
-            if slot.dest_phys.is_none() {
-                return Landing::Benign;
-            }
-            // The result is steered to the wrong physical register.
-            slot.tainted = true;
-            Landing::Injected
-        } else if b < imm_end {
-            if slot.inst.dyn_dead {
-                return Landing::Benign;
-            }
-            if slot.inst.op.is_mem() {
-                // The effective address changes: flip an address bit above
-                // the word offset (accesses stay 8-byte aligned).
-                if let Some(m) = &mut slot.inst.mem {
-                    m.addr ^= 1 << (3 + (b - dest_end) % 34);
-                }
-                slot.tainted = true;
-                Landing::Injected
-            } else if slot.inst.op.is_branch() {
-                // A corrupted branch displacement misdirects fetch.
-                self.detect()
-            } else {
-                slot.tainted = true;
-                Landing::Injected
-            }
-        } else {
-            // Scheduling status. For an instruction whose result is dead
-            // the scramble only perturbs timing; for a live one the issue
-            // logic misfires.
-            if slot.inst.dyn_dead || slot.inst.op == OpClass::Nop {
-                Landing::Benign
-            } else {
-                self.detect()
-            }
-        }
-    }
-
-    fn inject_rob(&mut self, entry: u64, bit: u64) -> Landing {
-        let per = self.cfg.rob_entries_per_thread as u64;
-        let t = (entry / per) as usize % self.threads.len();
-        let idx = (entry % per) as usize;
-        let Some(&slab_i) = self.threads[t].rob.get(idx) else {
-            return Landing::Empty;
-        };
-        let slot = &mut self.threads[t].slab[slab_i as usize];
-        if slot.inst.wrong_path {
-            return Landing::Benign;
-        }
-        let b = bit % budgets::rob::ENTRY;
-        let arch_end = budgets::rob::PC + budgets::rob::DEST_ARCH;
-        let dest_end = arch_end + budgets::rob::DEST_PHYS;
-        let old_end = dest_end + budgets::rob::OLD_PHYS;
-        let status_end = old_end + budgets::rob::STATUS;
-        let opcode_end = status_end + budgets::rob::OPCODE;
-        if b < budgets::rob::PC {
-            // The architectural PC record changes: visible in the retired
-            // stream unless the instruction's execution is dead anyway.
-            // The slot is also marked tainted — the record it will retire
-            // is corrupt, and the taint keeps the in-flight corruption
-            // visible to `residual_corruption` (without it, a convergence
-            // check landing while the slot is still in flight would see a
-            // clean machine and exit early as masked).
-            if slot.inst.dyn_dead {
-                return Landing::Benign;
-            }
-            slot.inst.pc ^= 1 << (b % 32);
-            slot.tainted = true;
-            Landing::Injected
-        } else if b < old_end {
-            // Destination arch/phys or previous-mapping tag: the value ends
-            // up in (or frees) the wrong register.
-            if slot.dest_phys.is_none() {
-                return Landing::Benign;
-            }
-            slot.tainted = true;
-            Landing::Injected
-        } else if b < opcode_end {
-            // Status and opcode corruption break retirement control for
-            // live *and* dead instructions (the ROB still sequences them) —
-            // the same fields the ACE model keeps ACE for dead ops.
-            self.detect()
-        } else {
-            // Branch-state bits.
-            if slot.inst.op.is_branch() {
-                slot.tainted = true;
-                Landing::Injected
-            } else {
-                Landing::Benign
-            }
-        }
-    }
-
-    fn inject_lsq(&mut self, entry: u64, bit: u64) -> Landing {
-        let per = self.cfg.lsq_entries_per_thread as u64;
-        let t = (entry / per) as usize % self.threads.len();
-        let idx = (entry % per) as usize;
-        let th = &self.threads[t];
-        let Some(slab_i) = th
-            .rob
-            .iter()
-            .copied()
-            .filter(|&i| th.slab[i as usize].in_lsq)
-            .nth(idx)
-        else {
-            return Landing::Empty;
-        };
-        let slot = &mut self.threads[t].slab[slab_i as usize];
-        if slot.inst.wrong_path {
-            return Landing::Benign;
-        }
-        let b = bit % budgets::lsq::TAG_ENTRY;
-        if b < budgets::lsq::ADDR {
-            if slot.inst.dyn_dead {
-                return Landing::Benign;
-            }
-            // The access address changes: a load reads (or has read) the
-            // wrong data, a store retires to the wrong location.
-            if let Some(m) = &mut slot.inst.mem {
-                m.addr ^= 1 << (3 + b % 34);
-            }
-            slot.tainted = true;
-            Landing::Injected
-        } else {
-            // Load/store control state (op kind, size, ordering flags).
-            self.detect()
-        }
-    }
-
-    fn inject_regfile(&mut self, entry: u64) -> Landing {
-        let int_pool = self.cfg.int_phys_regs as u64;
-        let fp_pool = self.cfg.fp_phys_regs as u64;
-        let e = entry % (int_pool + fp_pool);
-        let (fp, reg) = if e < int_pool {
-            (false, PhysReg(e as u16))
-        } else {
-            (true, PhysReg((e - int_pool) as u16))
-        };
-        let written = if fp {
-            self.fp_regs.is_ready(reg)
-        } else {
-            self.int_regs.is_ready(reg)
-        };
-        if !written {
-            // Free, or allocated but not yet written: the bits are idle and
-            // the eventual write overwrites the flip.
-            return Landing::Empty;
-        }
-        self.faults.poison(fp)[reg.index()] = true;
-        Landing::Injected
-    }
-
-    fn inject_fu(&mut self, entry: u64, bit: u64) -> Landing {
-        let now = self.cycle;
-        // Instructions currently holding a functional-unit latch: issued,
-        // and still inside their occupancy window (one cycle for pipelined
-        // units, the full latency for dividers) — the same window the ACE
-        // accounting banks.
-        let Some((t, ftag)) = self
-            .threads
-            .iter()
-            .enumerate()
-            .flat_map(|(t, th)| th.rob_slots().map(move |s| (t, s)))
-            .filter(|(_, s)| {
-                s.state == SlotState::Issued
-                    && s.inst.op != OpClass::Nop
-                    && s.issued_at + s.exec_latency.max(1) >= now
-            })
-            .map(|(t, s)| (t, s.ftag))
-            .nth(entry as usize)
-        else {
-            return Landing::Empty;
-        };
-        let slot = self.threads[t].slot_mut(ftag).expect("listed slot");
-        if slot.inst.wrong_path || slot.inst.dyn_dead {
-            return Landing::Benign;
-        }
-        if bit % budgets::fu::ENTRY < 128 {
-            // Operand latch: the in-flight computation is corrupt.
-            slot.tainted = true;
-            Landing::Injected
-        } else {
-            // FU control (op select, stage valid bits).
-            self.detect()
-        }
-    }
-
-    // -----------------------------------------------------------------
-    // Read-only fault probing and the lane event feed (see `crate::lanes`)
-    // -----------------------------------------------------------------
-
-    /// Predict what [`SmtCore::inject_fault`] would do *without mutating
-    /// anything*. The decision tree mirrors `inject_fault` branch for
-    /// branch; every arm whose injection rewrites state beyond the
-    /// taint/poison metadata reports [`FaultProbe::Diverges`] instead.
-    /// The lane-equivalence tests pin probe/inject agreement.
-    pub fn probe_fault(&self, fault: &Fault) -> FaultProbe {
-        match fault.target {
-            FaultTarget::Iq => self.probe_iq(fault.entry, fault.bit),
-            FaultTarget::Rob => self.probe_rob(fault.entry, fault.bit),
-            FaultTarget::LsqTag => self.probe_lsq(fault.entry, fault.bit),
-            FaultTarget::RegFile => self.probe_regfile(fault.entry),
-            FaultTarget::Fu => self.probe_fu(fault.entry, fault.bit),
-            // Cache/TLB strikes on resident state are watchable through the
-            // memory consumption feed: data poison is pure metadata until a
-            // load reads it, and clean-tag / TLB invalidations perturb
-            // timing only (identity-mapped translation, refills restore
-            // clean lines). Even a dirty-line tag strike rides — the
-            // struck machine is golden minus one valid line, timing-
-            // identical until the line or its set is touched — so no cache
-            // or TLB strike forks up front; the lane engine forks late,
-            // on first touch, via its doom path.
-            FaultTarget::Dl1Data => {
-                let word = (fault.bit / 64) as usize % self.mem.dl1_words_per_line();
-                match self.mem.probe_dl1_data(fault.entry, word) {
-                    Some(w) => FaultProbe::CacheResident {
-                        line: fault.entry as u32,
-                        word: Some(w as u8),
-                    },
-                    None => FaultProbe::Empty,
-                }
-            }
-            FaultTarget::Dl1Tag => match self.mem.probe_dl1_tag(fault.entry, fault.bit % 24) {
-                sim_mem::TagInject::Empty => FaultProbe::Empty,
-                sim_mem::TagInject::Benign => FaultProbe::Benign,
-                sim_mem::TagInject::CleanInvalidate => FaultProbe::CacheResident {
-                    line: fault.entry as u32,
-                    word: None,
-                },
-                sim_mem::TagInject::DirtyLost => FaultProbe::CacheDirtyLine {
-                    line: fault.entry as u32,
-                },
-            },
-            FaultTarget::Dtlb => match self.mem.probe_dtlb(fault.entry) {
-                Some(entry) => FaultProbe::TlbResident { itlb: false, entry },
-                None => FaultProbe::Empty,
-            },
-            FaultTarget::Itlb => match self.mem.probe_itlb(fault.entry) {
-                Some(entry) => FaultProbe::TlbResident { itlb: true, entry },
-                None => FaultProbe::Empty,
-            },
-        }
-    }
-
-    fn probe_iq(&self, entry: u64, bit: u64) -> FaultProbe {
-        let Some(&e) = self.iq.entries().get(entry as usize) else {
-            return FaultProbe::Empty;
-        };
-        let t = e.thread.index();
-        let slot = &self.threads[t].slab[e.slot as usize];
-        debug_assert_eq!(slot.ftag, e.ftag, "IQ entry without ROB slot");
-        if slot.inst.wrong_path {
-            return FaultProbe::Benign;
-        }
-        let b = bit % budgets::iq::ENTRY;
-        let src_end = budgets::iq::OPCODE + 2 * budgets::iq::SRC_TAG;
-        let dest_end = src_end + budgets::iq::DEST_TAG;
-        let imm_end = dest_end + budgets::iq::IMMEDIATE;
-        if b < budgets::iq::OPCODE {
-            FaultProbe::Detected
-        } else if b < src_end {
-            let idx = ((b - budgets::iq::OPCODE) / budgets::iq::SRC_TAG) as usize;
-            let tag_bit = (b - budgets::iq::OPCODE) % budgets::iq::SRC_TAG;
-            let Some(p) = slot.srcs_phys[idx] else {
-                return FaultProbe::Benign;
+                return FaultEffect::Benign; // the op has no such source
             };
             let pool = if slot.inst.srcs[idx].expect("arch src").is_fp() {
                 self.cfg.fp_phys_regs
             } else {
                 self.cfg.int_phys_regs
             };
-            if (p.0 ^ (1 << tag_bit.min(15))) as u32 % pool == p.0 as u32 {
-                FaultProbe::Benign
-            } else {
-                // Injection rewrites the renamed source tag: the op waits
-                // on (and reads) a different register — timing changes.
-                FaultProbe::Diverges
+            let flipped = (p.0 ^ (1 << tag_bit.min(15))) as u32 % pool;
+            if flipped == p.0 as u32 {
+                return FaultEffect::Benign;
             }
+            // The op now waits on — and reads — the wrong register: its
+            // result is corrupt, and it may wait forever (hang → detected).
+            taint(Rewrite::SrcTag {
+                idx: idx as u8,
+                reg: PhysReg(flipped as u16),
+            })
         } else if b < dest_end {
+            // The result is steered to the wrong physical register.
             if slot.dest_phys.is_none() {
-                FaultProbe::Benign
+                FaultEffect::Benign
             } else {
-                FaultProbe::TaintSlot {
-                    thread: t as u8,
-                    slab: e.slot,
-                }
+                taint(Rewrite::None)
             }
         } else if b < imm_end {
             if slot.inst.dyn_dead {
-                FaultProbe::Benign
+                FaultEffect::Benign
             } else if slot.inst.op.is_mem() {
-                FaultProbe::Diverges // the effective address is rewritten
+                // The effective address changes: flip an address bit above
+                // the word offset (accesses stay 8-byte aligned).
+                taint(Rewrite::Addr {
+                    xor: 1 << (3 + (b - dest_end) % 34),
+                })
             } else if slot.inst.op.is_branch() {
-                FaultProbe::Detected
+                // A corrupted branch displacement misdirects fetch.
+                FaultEffect::Detected
             } else {
-                FaultProbe::TaintSlot {
-                    thread: t as u8,
-                    slab: e.slot,
-                }
+                taint(Rewrite::None)
             }
         } else if slot.inst.dyn_dead || slot.inst.op == OpClass::Nop {
-            FaultProbe::Benign
+            // Scheduling status. For an instruction whose result is dead
+            // the scramble only perturbs timing; for a live one the issue
+            // logic misfires.
+            FaultEffect::Benign
         } else {
-            FaultProbe::Detected
+            FaultEffect::Detected
         }
     }
 
-    fn probe_rob(&self, entry: u64, bit: u64) -> FaultProbe {
+    fn resolve_rob(&self, entry: u64, bit: u64) -> FaultEffect {
         let per = self.cfg.rob_entries_per_thread as u64;
         let t = (entry / per) as usize % self.threads.len();
-        let idx = (entry % per) as usize;
-        let Some(&slab_i) = self.threads[t].rob.get(idx) else {
-            return FaultProbe::Empty;
+        let Some(&slab) = self.threads[t].rob.get((entry % per) as usize) else {
+            return FaultEffect::Empty;
         };
-        let slot = &self.threads[t].slab[slab_i as usize];
+        let slot = &self.threads[t].slab[slab as usize];
+        let taint = |rewrite| FaultEffect::Taint {
+            thread: t as u8,
+            slab,
+            rewrite,
+        };
         if slot.inst.wrong_path {
-            return FaultProbe::Benign;
+            return FaultEffect::Benign;
         }
         let b = bit % budgets::rob::ENTRY;
-        let arch_end = budgets::rob::PC + budgets::rob::DEST_ARCH;
-        let dest_end = arch_end + budgets::rob::DEST_PHYS;
-        let old_end = dest_end + budgets::rob::OLD_PHYS;
-        let status_end = old_end + budgets::rob::STATUS;
-        let opcode_end = status_end + budgets::rob::OPCODE;
+        let old_end = budgets::rob::PC
+            + budgets::rob::DEST_ARCH
+            + budgets::rob::DEST_PHYS
+            + budgets::rob::OLD_PHYS;
+        let opcode_end = old_end + budgets::rob::STATUS + budgets::rob::OPCODE;
         if b < budgets::rob::PC {
-            // After dispatch the recorded PC feeds nothing but the commit
-            // log (and the slot's taint, which injection sets alongside
-            // the flip), with two exceptions that make timing consult it
-            // again: a not-yet-issued load trains the miss predictors
-            // with its PC at issue, and FLUSH's L2-miss squash replays
-            // slots by refetching from their recorded PCs.
+            // The architectural PC record changes: visible in the retired
+            // stream unless the instruction's execution is dead anyway.
+            // The slot is also tainted — the record it will retire is
+            // corrupt, and the taint keeps the in-flight corruption
+            // visible to `residual_corruption` (without it, a convergence
+            // check landing while the slot is still in flight would see a
+            // clean machine and exit early as masked).
             if slot.inst.dyn_dead {
-                FaultProbe::Benign
-            } else if self.cfg.fetch_policy != FetchPolicyKind::Flush
-                && !(slot.inst.op == OpClass::Load && slot.state == SlotState::Waiting)
-            {
-                FaultProbe::TaintSlot {
-                    thread: t as u8,
-                    slab: slab_i,
-                }
+                FaultEffect::Benign
             } else {
-                FaultProbe::Diverges // the rewritten PC feeds timing back
+                taint(Rewrite::Pc { xor: 1 << (b % 32) })
             }
         } else if b < old_end {
+            // Destination arch/phys or previous-mapping tag: the value ends
+            // up in (or frees) the wrong register.
             if slot.dest_phys.is_none() {
-                FaultProbe::Benign
+                FaultEffect::Benign
             } else {
-                FaultProbe::TaintSlot {
-                    thread: t as u8,
-                    slab: slab_i,
-                }
+                taint(Rewrite::None)
             }
         } else if b < opcode_end {
-            FaultProbe::Detected
+            // Status and opcode corruption break retirement control for
+            // live *and* dead instructions (the ROB still sequences them) —
+            // the same fields the ACE model keeps ACE for dead ops.
+            FaultEffect::Detected
         } else if slot.inst.op.is_branch() {
-            FaultProbe::TaintSlot {
-                thread: t as u8,
-                slab: slab_i,
-            }
+            taint(Rewrite::None) // branch-state bits
         } else {
-            FaultProbe::Benign
+            FaultEffect::Benign
         }
     }
 
-    fn probe_lsq(&self, entry: u64, bit: u64) -> FaultProbe {
+    fn resolve_lsq(&self, entry: u64, bit: u64) -> FaultEffect {
         let per = self.cfg.lsq_entries_per_thread as u64;
         let t = (entry / per) as usize % self.threads.len();
-        let idx = (entry % per) as usize;
         let th = &self.threads[t];
-        let Some(slab_i) = th
+        let Some(slab) = th
             .rob
             .iter()
             .copied()
             .filter(|&i| th.slab[i as usize].in_lsq)
-            .nth(idx)
+            .nth((entry % per) as usize)
         else {
-            return FaultProbe::Empty;
+            return FaultEffect::Empty;
         };
-        let slot = &th.slab[slab_i as usize];
+        let slot = &th.slab[slab as usize];
         if slot.inst.wrong_path {
-            return FaultProbe::Benign;
+            return FaultEffect::Benign;
         }
-        if bit % budgets::lsq::TAG_ENTRY < budgets::lsq::ADDR {
-            if slot.inst.dyn_dead {
-                FaultProbe::Benign
-            } else if slot.inst.op == OpClass::Load
-                && slot.state != SlotState::Waiting
-                && self.cfg.fetch_policy != FetchPolicyKind::Flush
-            {
-                // A load's address is consumed exactly once, at issue
-                // (`data_read` plus the store-address scan); dependence
-                // checks by other ops scan store addresses only, and the
-                // classifier short-circuits on the taint before diffing
-                // logged addresses. Past issue the flip is dead state —
-                // only the taint the injection also sets is observable.
-                // FLUSH is excluded: its L2-miss squash replays the slot
-                // and would re-issue at the rewritten address.
-                FaultProbe::TaintSlot {
-                    thread: t as u8,
-                    slab: slab_i,
-                }
-            } else {
-                FaultProbe::Diverges // the access address is rewritten
+        let b = bit % budgets::lsq::TAG_ENTRY;
+        if b >= budgets::lsq::ADDR {
+            // Load/store control state (op kind, size, ordering flags).
+            FaultEffect::Detected
+        } else if slot.inst.dyn_dead {
+            FaultEffect::Benign
+        } else {
+            // The access address changes: a load reads (or has read) the
+            // wrong data, a store retires to the wrong location.
+            FaultEffect::Taint {
+                thread: t as u8,
+                slab,
+                rewrite: Rewrite::Addr {
+                    xor: 1 << (3 + b % 34),
+                },
             }
-        } else {
-            FaultProbe::Detected
         }
     }
 
-    fn probe_regfile(&self, entry: u64) -> FaultProbe {
+    fn resolve_regfile(&self, entry: u64) -> FaultEffect {
         let int_pool = self.cfg.int_phys_regs as u64;
-        let fp_pool = self.cfg.fp_phys_regs as u64;
-        let e = entry % (int_pool + fp_pool);
-        let (fp, reg) = if e < int_pool {
-            (false, PhysReg(e as u16))
+        let e = entry % (int_pool + self.cfg.fp_phys_regs as u64);
+        let (fp, reg, regs) = if e < int_pool {
+            (false, PhysReg(e as u16), &self.int_regs)
         } else {
-            (true, PhysReg((e - int_pool) as u16))
+            (true, PhysReg((e - int_pool) as u16), &self.fp_regs)
         };
-        let written = if fp {
-            self.fp_regs.is_ready(reg)
+        if regs.is_ready(reg) {
+            FaultEffect::Poison { fp, reg }
         } else {
-            self.int_regs.is_ready(reg)
-        };
-        if written {
-            FaultProbe::PoisonReg { fp, reg: reg.0 }
-        } else {
-            FaultProbe::Empty
+            // Free, or allocated but not yet written: the bits are idle and
+            // the eventual write overwrites the flip.
+            FaultEffect::Empty
         }
     }
 
-    fn probe_fu(&self, entry: u64, bit: u64) -> FaultProbe {
+    fn resolve_fu(&self, entry: u64, bit: u64) -> FaultEffect {
         let now = self.cycle;
-        let Some((t, slab_i)) = self
+        // Instructions currently holding a functional-unit latch: issued,
+        // and still inside their occupancy window (one cycle for pipelined
+        // units, the full latency for dividers) — the same window the ACE
+        // accounting banks.
+        let Some((t, slab)) = self
             .threads
             .iter()
             .enumerate()
@@ -2363,20 +2187,27 @@ impl<S: InstSource> SmtCore<S> {
             .map(|(t, i, _)| (t, i))
             .nth(entry as usize)
         else {
-            return FaultProbe::Empty;
+            return FaultEffect::Empty;
         };
-        let slot = &self.threads[t].slab[slab_i as usize];
+        let slot = &self.threads[t].slab[slab as usize];
         if slot.inst.wrong_path || slot.inst.dyn_dead {
-            FaultProbe::Benign
+            FaultEffect::Benign
         } else if bit % budgets::fu::ENTRY < 128 {
-            FaultProbe::TaintSlot {
+            // Operand latch: the in-flight computation is corrupt.
+            FaultEffect::Taint {
                 thread: t as u8,
-                slab: slab_i,
+                slab,
+                rewrite: Rewrite::None,
             }
         } else {
-            FaultProbe::Detected
+            // FU control (op select, stage valid bits).
+            FaultEffect::Detected
         }
     }
+
+    // -----------------------------------------------------------------
+    // The lane event feed (see `crate::lanes`)
+    // -----------------------------------------------------------------
 
     /// Arm the lane event feed (idempotent). While armed, every
     /// taint/poison-relevant mutation pushes one [`LaneEvent`]; the feed

@@ -14,7 +14,7 @@
 //! *detected* at injection time, the hardware-detectable-error (DUE)
 //! proxy.
 
-use sim_model::OpClass;
+use sim_model::{OpClass, PhysReg};
 
 /// The microarchitectural array a fault strikes. Entry/bit layouts follow
 /// `avf_core::budgets`.
@@ -104,11 +104,11 @@ pub enum Landing {
 ///
 /// The classification is conservative by construction: any strike whose
 /// injection mutates state the lane engine cannot track exactly against
-/// the shared follower — renamed source tags, pre-issue effective
-/// addresses, pre-issue load PCs — probes as [`FaultProbe::Diverges`]
-/// even when the mutation would turn out to be timing-neutral, because
-/// the fork (a scalar trial) is always correct and only the *cheap*
-/// cases must be predicted exactly.
+/// the shared follower — renamed source tags, store and pre-issue load
+/// addresses, pre-issue load PCs, any PC or address under FLUSH replay —
+/// probes as [`FaultProbe::Diverges`] even when the mutation would turn
+/// out to be timing-neutral, because the fork (a scalar trial) is always
+/// correct and only the *cheap* cases must be predicted exactly.
 ///
 /// [`inject_fault`]: crate::SmtCore::inject_fault
 /// [`probe_fault`]: crate::SmtCore::probe_fault
@@ -181,6 +181,49 @@ pub enum FaultProbe {
     /// pre-issue load PCs, anything under FLUSH replay): the lane must
     /// fork to a scalar core and inject for real.
     Diverges,
+}
+
+/// Where a strike lands and what it would rewrite, as decided by
+/// [`SmtCore::resolve_fault`](crate::SmtCore::resolve_fault) — the one
+/// statement of fault semantics. Each variant carries the location it
+/// found, so applying it is O(1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FaultEffect {
+    /// [`Landing::Empty`]: nothing valid was struck.
+    Empty,
+    /// [`Landing::Benign`]: the struck field is idle for its occupant.
+    Benign,
+    /// [`Landing::Detected`]: control state a real pipeline traps on.
+    Detected,
+    /// Taint slot `slab` of `thread` after applying `rewrite` to it.
+    Taint {
+        thread: u8,
+        slab: u32,
+        rewrite: Rewrite,
+    },
+    /// Poison a written physical register of the `fp` or integer pool.
+    Poison { fp: bool, reg: PhysReg },
+    /// Poison (clamped) word `word` of valid flat DL1 line `line`.
+    Dl1Word { line: u32, word: u8 },
+    /// Lose valid flat DL1 line `line` to a tag strike; a `dirty` line's
+    /// words lose their only good copy.
+    Dl1Line { line: u32, dirty: bool },
+    /// Invalidate valid flat entry `entry` (`set * assoc + way`) of the
+    /// instruction (`itlb`) or data TLB.
+    Tlb { itlb: bool, entry: u32 },
+}
+
+/// The slot field a [`FaultEffect::Taint`] strike rewrites.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Rewrite {
+    /// Only the taint: the corrupt value or record is metadata.
+    None,
+    /// Renamed source tag `idx` now names `reg`.
+    SrcTag { idx: u8, reg: PhysReg },
+    /// The effective address is XORed with `xor`.
+    Addr { xor: u64 },
+    /// The recorded PC is XORed with `xor`.
+    Pc { xor: u64 },
 }
 
 /// One retired instruction as recorded by the commit log: the fields an

@@ -20,7 +20,10 @@
 //! published chunks); with `--enqueue` it instead drops the job spec into
 //! a queue directory for a long-running `serve` process to pick up.
 //! Killing any of these at any point is safe: the same submission resumes
-//! from the store and finishes with byte-identical results.
+//! from the store and finishes with byte-identical results. `--lanes` is
+//! in-process only: the encoded job spec that worker processes and queued
+//! jobs run carries no lane count, so `submit` rejects it together with
+//! `--worker-procs` ≥ 2 or `--enqueue`.
 //!
 //! Wall-clock metrics (DESIGN.md §5k) are on by default for `submit`,
 //! `serve`, and `soak` (`--no-metrics` opts out) and snapshot to
@@ -45,6 +48,8 @@ fn usage() -> String {
      \x20      [--worker-procs P] [--chunk N] [--scale quick|default]\n\
      \x20      [--checkpoints K] [--lanes L] [--targets a,b,...]\n\
      \x20      [--name LABEL] [--enqueue QUEUE_DIR] [--no-metrics]\n\
+     \x20      (--lanes is in-process only: not with --worker-procs >= 2\n\
+     \x20      or --enqueue)\n\
      serve  --store DIR --queue DIR [--worker-procs P] [--poll-ms N]\n\
      \x20      [--metrics-every N] [--no-metrics] [--once]\n\
      status --store DIR [--watch] [--interval-ms N]\n\
@@ -218,13 +223,27 @@ fn cmd_submit(flags: &Flags) -> Result<(), String> {
     ])?;
     let spec = spec_from_flags(flags)?;
     let job = spec.id();
+    let worker_procs: usize = flags.parse_num("--worker-procs", 0)?;
+    // The lane count is not part of the encoded spec that worker
+    // processes and queued jobs run, so it would be silently dropped.
+    if flags.has("--lanes") && (worker_procs >= 2 || flags.has("--enqueue")) {
+        return Err(format!(
+            "--lanes cannot be combined with {}: worker processes and queued \
+             jobs run the encoded job spec, which carries no lane count \
+             (--lanes is in-process only)",
+            if flags.has("--enqueue") {
+                "--enqueue"
+            } else {
+                "--worker-procs >= 2"
+            }
+        ));
+    }
     if let Some(queue) = flags.get("--enqueue") {
         enqueue(Path::new(queue), &spec)?;
         println!("enqueued job {} ({})", server::short(&job), spec.name);
         return Ok(());
     }
     let store = PathBuf::from(flags.require("--store")?);
-    let worker_procs: usize = flags.parse_num("--worker-procs", 0)?;
     metrics::set_enabled(!flags.has("--no-metrics"));
     eprintln!(
         "sim-serve: job {} ({}): workload {}, {} trials x {} targets, chunk {}, {}",

@@ -428,3 +428,30 @@ fn result_record_decodes_from_the_store() {
     assert_eq!(result.per_target.len(), 2);
     assert_eq!(bytes, encode_record(&result), "round-trip byte identity");
 }
+
+#[test]
+fn lanes_are_rejected_where_the_encoded_spec_would_drop_them() {
+    let dir = fresh_dir("lanes-reject");
+    let queue = fresh_dir("lanes-reject-queue");
+    for (extra, combo) in [
+        (vec!["--worker-procs", "2"], "--worker-procs >= 2"),
+        (vec!["--enqueue", queue.to_str().unwrap()], "--enqueue"),
+    ] {
+        let out = Command::new(EXE)
+            .args(["submit", "--store", dir.to_str().unwrap()])
+            .args(["--workload", "2T-MIX-A", "--trials", "4", "--lanes", "8"])
+            .args(&extra)
+            .output()
+            .expect("spawn sim-serve");
+        assert!(!out.status.success(), "--lanes with {combo} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("--lanes cannot be combined with {combo}")),
+            "{stderr}"
+        );
+    }
+    assert!(
+        !queue.exists(),
+        "a rejected submission must enqueue nothing"
+    );
+}

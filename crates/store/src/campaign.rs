@@ -480,7 +480,8 @@ where
     S: InstSource + Clone + Sync,
     F: Fn() -> SmtCore<S> + Sync,
 {
-    sim_inject::run_trials_batched(prepared, factory, plan.start, plan.len, workers)
+    sim_inject::run_trials_batched_full(prepared, factory, plan.start, plan.len, workers)
+        .0
         .into_iter()
         .map(|exec| exec.record)
         .collect()
