@@ -246,13 +246,14 @@ pub struct CampaignConfig {
     pub fast_forward: bool,
     /// Lane-parallel batched trials: group up to this many trials per
     /// shared golden follower core (see [`sim_pipeline::LaneBatch`]),
-    /// clamped to 64. `0` (the default) runs every trial on the scalar
-    /// per-trial path, which is the oracle the batched path is proven
-    /// bit-identical against. Requires the checkpointed golden path
-    /// (ignored under [`replay_from_zero`]). Purely an execution knob:
-    /// records are bit-identical for any value, so it is deliberately
-    /// excluded from the campaign store's job identity (a stored campaign
-    /// hashes and resumes the same regardless of lane count).
+    /// clamped to [`MAX_LANES`], which is also the default. `0` runs every
+    /// trial on the scalar per-trial path: the oracle the batched path is
+    /// proven bit-identical against, selected explicitly by tests.
+    /// Requires the checkpointed golden path (ignored under
+    /// [`replay_from_zero`]). Purely an execution knob: records are
+    /// bit-identical for any value, so it is deliberately excluded from
+    /// the campaign store's job identity (a stored campaign hashes and
+    /// resumes the same regardless of lane count).
     ///
     /// [`replay_from_zero`]: CampaignConfig::replay_from_zero
     pub lanes: usize,
@@ -263,6 +264,10 @@ pub struct CampaignConfig {
 /// Default snapshot count: enough that per-trial replay is a small slice
 /// of the window while golden capture stays a handful of clones.
 pub const DEFAULT_CHECKPOINTS: usize = 12;
+
+/// Lane width of the batched trial engine: one `u64` mask bit per trial.
+/// The production default for [`CampaignConfig::lanes`].
+pub const MAX_LANES: usize = 64;
 
 impl CampaignConfig {
     /// A campaign over the structures the cross-validation report covers.
@@ -277,7 +282,7 @@ impl CampaignConfig {
             replay_from_zero: false,
             progress: false,
             fast_forward: true,
-            lanes: 0,
+            lanes: MAX_LANES,
             targets: vec![
                 FaultTarget::Iq,
                 FaultTarget::Rob,
@@ -1479,7 +1484,8 @@ fn run_one_batch<S: InstSource + Clone>(
 /// trial-index order plus the worker pool's scheduling stats and the lane
 /// engine's per-target classification tally. This is the one entry point
 /// for a trial range: [`run_campaign`] runs the whole campaign through it
-/// and the campaign store runs each chunk through it.
+/// and the campaign store runs each lease (a run of stored chunks)
+/// through it.
 ///
 /// With [`CampaignConfig::lanes`] `> 0` trials ride lane batches,
 /// bit-identical to the scalar per-trial path (and to itself at any
@@ -1492,8 +1498,8 @@ fn run_one_batch<S: InstSource + Clone>(
 ///
 /// With [`CampaignConfig::progress`] set, a range spanning the whole
 /// campaign prints a heartbeat line to stderr each time another
-/// twentieth of its trials completes (chunked callers would print one
-/// series per chunk, so they stay quiet).
+/// twentieth of its trials completes (leased callers would print one
+/// series per lease, so they stay quiet).
 pub fn run_trials_batched_full<S, F>(
     prepared: &PreparedCampaign<S>,
     factory: &F,
@@ -1505,7 +1511,7 @@ where
     S: InstSource + Clone + Sync,
     F: Fn() -> SmtCore<S> + Sync,
 {
-    let lanes = prepared.cfg.lanes.min(64);
+    let lanes = prepared.cfg.lanes.min(MAX_LANES);
     let batched = lanes > 0 && prepared.checkpointed.is_some() && len > 0;
 
     // Heartbeat bookkeeping (stderr only; results are unaffected).

@@ -24,6 +24,9 @@ fn budget() -> SimBudget {
 fn small_campaign(workers: usize) -> CampaignConfig {
     let mut cfg = CampaignConfig::new(6, 0xC0FFEE, budget());
     cfg.workers = workers;
+    // The scalar per-trial path; lane batching is proven against it in
+    // lane_equivalence.rs.
+    cfg.lanes = 0;
     cfg
 }
 

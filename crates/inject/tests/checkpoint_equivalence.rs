@@ -28,6 +28,9 @@ fn campaign(workers: usize, replay_from_zero: bool) -> CampaignConfig {
     let mut cfg = CampaignConfig::new(5, 0xBADC0DE, budget());
     cfg.workers = workers;
     cfg.replay_from_zero = replay_from_zero;
+    // The scalar checkpointed path: the lane engine has its own proof
+    // (lane_equivalence.rs) against this one.
+    cfg.lanes = 0;
     cfg
 }
 

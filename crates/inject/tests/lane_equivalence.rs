@@ -71,7 +71,7 @@ fn batched_campaign_matches_scalar_oracle_at_every_lane_and_worker_count() {
 
 #[test]
 fn batched_trial_range_matches_scalar_execs_including_metrics() {
-    // run_trials_batched_full is the store's chunk entry point: hold a chunk's
+    // run_trials_batched_full is the store's lease entry point: hold a lease's
     // worth of TrialExecs (records *and* the early-exit / restore-distance
     // diagnostics) to the scalar path, over an offset range so the
     // start/len plumbing is exercised too.

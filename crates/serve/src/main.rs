@@ -20,9 +20,14 @@
 //! published chunks); with `--enqueue` it instead drops the job spec into
 //! a queue directory for a long-running `serve` process to pick up.
 //! Killing any of these at any point is safe: the same submission resumes
-//! from the store and finishes with byte-identical results. `--lanes` is
-//! in-process only: the encoded job spec that worker processes and queued
-//! jobs run carries no lane count, so `submit` rejects it together with
+//! from the store and finishes with byte-identical results.
+//!
+//! Trials run on the 64-lane batched engine by default, dispatched in
+//! leases of consecutive chunks (DESIGN.md §5h) so each lane batch fills
+//! whatever the `--chunk` size. `--lanes L` overrides the width (`0` is
+//! the scalar oracle) and is in-process only: the encoded job spec that
+//! worker processes and queued jobs run carries no lane count (they
+//! always run 64 lanes), so `submit` rejects it together with
 //! `--worker-procs` ≥ 2 or `--enqueue`.
 //!
 //! Wall-clock metrics (DESIGN.md §5k) are on by default for `submit`,
@@ -48,8 +53,8 @@ fn usage() -> String {
      \x20      [--worker-procs P] [--chunk N] [--scale quick|default]\n\
      \x20      [--checkpoints K] [--lanes L] [--targets a,b,...]\n\
      \x20      [--name LABEL] [--enqueue QUEUE_DIR] [--no-metrics]\n\
-     \x20      (--lanes is in-process only: not with --worker-procs >= 2\n\
-     \x20      or --enqueue)\n\
+     \x20      (--lanes defaults to 64, 0 = scalar oracle; in-process only:\n\
+     \x20      not with --worker-procs >= 2 or --enqueue)\n\
      serve  --store DIR --queue DIR [--worker-procs P] [--poll-ms N]\n\
      \x20      [--metrics-every N] [--no-metrics] [--once]\n\
      status --store DIR [--watch] [--interval-ms N]\n\

@@ -10,15 +10,21 @@
 //! parent -> worker   JobSpec           (once, on startup)
 //! worker -> parent   WorkerReady       (golden fingerprint; parent fails
 //!                                       closed unless it matches its own)
-//! parent -> worker   WorkerTask        (one chunk to run)    \  repeated
-//! worker -> parent   WorkerChunk       (the completed chunk) /  per chunk
+//! parent -> worker   WorkerTask        (one lease: N consecutive  \
+//!                                       chunks run as one range)    | repeated
+//! worker -> parent   WorkerChunk x N   (one per chunk, in order)  /  per lease
 //! parent closes stdin -> worker exits 0
 //! ```
 //!
+//! The parent sends a worker's next lease as soon as the last reply of
+//! its current one is in, then publishes the current lease's chunks, so
+//! the worker computes while the parent fsyncs.
+//!
 //! The worker never touches the store; only the parent — the single
-//! canonical writer — persists chunks. A worker that dies mid-chunk
-//! surfaces as a read error in the parent, which aborts the job rather
-//! than publish a partial shard.
+//! canonical writer — persists chunks. Every reply is validated against
+//! its slot in the lease before anything of that lease is published; a
+//! worker that dies mid-lease, replies short, or answers for the wrong
+//! slot fails the job rather than publish a partial shard.
 
 use sim_store::{
     decode_record, encode_record, ChunkPlan, ChunkRecord, Codec, Decoder, Encoder,
@@ -52,11 +58,14 @@ impl Codec for WorkerReady {
     }
 }
 
-/// One chunk assignment.
-#[derive(Debug, Clone, Copy)]
+/// One lease assignment: a run of consecutive chunks.
+///
+/// On the wire a lease is its first chunk's index and start plus every
+/// chunk's length, so a decoded lease is consecutive by construction.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerTask {
-    /// The chunk to run.
-    pub plan: ChunkPlan,
+    /// The lease's chunks, in order.
+    pub lease: Vec<ChunkPlan>,
 }
 
 impl Codec for WorkerTask {
@@ -64,19 +73,30 @@ impl Codec for WorkerTask {
     const NAME: &'static str = "WorkerTask";
 
     fn encode_body(&self, e: &mut Encoder) {
-        e.put_usize(self.plan.index);
-        e.put_usize(self.plan.start);
-        e.put_usize(self.plan.len);
+        let first = self.lease.first().map_or((0, 0), |p| (p.index, p.start));
+        e.put_usize(first.0);
+        e.put_usize(first.1);
+        e.put_usize(self.lease.len());
+        for plan in &self.lease {
+            e.put_usize(plan.len);
+        }
     }
 
     fn decode_body(d: &mut Decoder<'_>) -> Result<WorkerTask, WireError> {
-        Ok(WorkerTask {
-            plan: ChunkPlan {
-                index: d.get_usize()?,
-                start: d.get_usize()?,
-                len: d.get_usize()?,
-            },
-        })
+        let (mut index, mut start) = (d.get_usize()?, d.get_usize()?);
+        let n = d.get_usize()?;
+        let mut lease = Vec::with_capacity(n.min(4096));
+        for _ in 0..n {
+            let len = d.get_usize()?;
+            lease.push(ChunkPlan { index, start, len });
+            index = index
+                .checked_add(1)
+                .ok_or(WireError::IntOutOfRange(index as u64))?;
+            start = start
+                .checked_add(len)
+                .ok_or(WireError::IntOutOfRange(len as u64))?;
+        }
+        Ok(WorkerTask { lease })
     }
 }
 
@@ -138,23 +158,45 @@ pub fn read_frame<T: Codec, R: Read>(r: &mut R) -> std::io::Result<Option<T>> {
 mod tests {
     use super::*;
 
+    fn lease() -> WorkerTask {
+        WorkerTask {
+            lease: sim_store::plan_chunks(134, 5)[24..].to_vec(),
+        }
+    }
+
     #[test]
     fn frames_round_trip_and_eof_is_clean() {
-        let task = WorkerTask {
-            plan: ChunkPlan {
-                index: 3,
-                start: 96,
-                len: 32,
-            },
-        };
+        let task = lease();
+        assert_eq!(task.lease.len(), 3, "chunks 24, 25 and the 4-trial tail");
         let mut buf = Vec::new();
         write_frame(&mut buf, &task).unwrap();
         let mut r = &buf[..];
         let got: WorkerTask = read_frame(&mut r).unwrap().unwrap();
-        assert_eq!(got.plan, task.plan);
+        assert_eq!(got, task);
         assert!(read_frame::<WorkerTask, _>(&mut r).unwrap().is_none());
         // Mid-frame truncation is an error, not EOF.
         let mut r = &buf[..buf.len() - 1];
         assert!(read_frame::<WorkerTask, _>(&mut r).is_err());
+    }
+
+    #[test]
+    fn lease_encoding_is_canonical_and_consecutive_by_construction() {
+        let task = lease();
+        let bytes = encode_record(&task);
+        let back: WorkerTask = decode_record(&bytes).unwrap();
+        assert_eq!(encode_record(&back), bytes, "byte identity");
+        for w in back.lease.windows(2) {
+            assert_eq!(w[0].index + 1, w[1].index);
+            assert_eq!(w[0].start + w[0].len, w[1].start);
+        }
+        // Index, start, count, then one length per chunk: nothing else.
+        let mut e = Encoder::new();
+        task.encode_body(&mut e);
+        assert_eq!(e.into_bytes().len(), 8 * (3 + task.lease.len()));
+        // Single-chunk and empty leases round-trip too.
+        for lease in [vec![task.lease[0]], Vec::new()] {
+            let t = WorkerTask { lease };
+            assert_eq!(decode_record::<WorkerTask>(&encode_record(&t)).unwrap(), t);
+        }
     }
 }

@@ -1,13 +1,14 @@
 //! Job execution: resolve a [`JobSpec`] into a prepared campaign, shard
-//! its chunks across worker processes (or run them in-process), persist
-//! every completed chunk, and publish the final result.
+//! its missing chunks across worker processes in leases (or run them
+//! in-process), persist every completed chunk, and publish the final
+//! result.
 //!
 //! The parent process is the store's single canonical writer: workers
 //! never touch disk, they stream completed chunks back over the
 //! [`protocol`](crate::protocol) and the parent publishes them. Killing
-//! the parent (or any worker) at any point loses at most the in-flight
-//! chunks; a rerun of the same spec resumes from the published ones and
-//! finishes with byte-identical results.
+//! the parent (or any worker) at any point loses at most the chunks of
+//! the leases in flight; a rerun of the same spec resumes from the
+//! published ones and finishes with byte-identical results.
 
 use crate::protocol::{read_frame, write_frame, WorkerChunk, WorkerReady, WorkerTask};
 use avf_core::AvfReport;
@@ -15,18 +16,17 @@ use sim_inject::{CampaignMetrics, Landing, PreparedCampaign};
 use sim_model::{FetchPolicyKind, MachineConfig};
 use sim_pipeline::SmtCore;
 use sim_store::{
-    assemble_result, decode_record, encode_record, load_chunk, load_result, maybe_crash_after,
-    plan_chunks, prepare_stored, run_chunk, store_chunk, ChunkPlan, ChunkRecord, GoldenFingerprint,
-    JobResultRecord, JobSpec, ObjectId, Store, StoredOutcome,
+    decode_record, encode_record, open_job, plan_leases, run_lease, ChunkPlan, ChunkPublisher,
+    ChunkRecord, GoldenFingerprint, JobResultRecord, JobSpec, ObjectId, Opened, Store,
+    StoredOutcome,
 };
 use sim_trace::metrics::{self, micros_since};
 use sim_workload::{table2, SmtWorkload, TraceGenerator};
 use smt_avf::runner::{run_workload_on, workload_generators};
 use std::collections::VecDeque;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -98,10 +98,7 @@ pub fn run_job(store_dir: &Path, spec: &JobSpec, worker_procs: usize) -> Result<
         run_sharded(&store, spec, &workload, worker_procs)?
     };
     let elapsed = started.elapsed().as_secs_f64();
-    let trials = outcome.result.records.len() as u64;
-    let computed_trials = (outcome.computed_chunks as u64)
-        .saturating_mul(spec.chunk_trials.max(1) as u64)
-        .min(trials);
+    let computed_trials = outcome.computed_trials as u64;
     let injected = outcome
         .result
         .records
@@ -204,45 +201,22 @@ fn run_sharded(
     workload: &SmtWorkload,
     worker_procs: usize,
 ) -> Result<StoredOutcome, String> {
-    let job = spec.id();
-    if let Some(done) = load_result(store, &job).map_err(|e| e.to_string())? {
-        return Ok(StoredOutcome {
-            result: done,
-            resumed_chunks: plan_chunks(spec.total_trials(), spec.chunk_trials).len(),
-            computed_chunks: 0,
-        });
-    }
-    let _lock = store.lock().map_err(|e| e.to_string())?;
-    if let Some(done) = load_result(store, &job).map_err(|e| e.to_string())? {
-        return Ok(StoredOutcome {
-            result: done,
-            resumed_chunks: plan_chunks(spec.total_trials(), spec.chunk_trials).len(),
-            computed_chunks: 0,
-        });
-    }
-
-    // The parent prepares its own golden: it owns fingerprint
-    // verification against the store and must not trust workers for it.
+    // The parent prepares its own golden (in `open_job`): it owns
+    // fingerprint verification against the store and must not trust
+    // workers for it.
     let factory = factory_for(workload)?;
-    let (job, prepared): (ObjectId, PreparedCampaign<TraceGenerator>) =
-        prepare_stored(store, spec, &factory).map_err(|e| e.to_string())?;
-    let expected = encode_record(&GoldenFingerprint::of(&prepared));
-
-    let plans = plan_chunks(prepared.total_trials(), spec.chunk_trials);
-    let mut missing = VecDeque::new();
-    let mut resumed = 0usize;
-    for &plan in &plans {
-        match load_chunk(store, &job, plan).map_err(|e| e.to_string())? {
-            Some(_) => resumed += 1,
-            None => missing.push_back(plan),
-        }
-    }
-
-    let total = plans.len();
-    let procs = worker_procs.min(missing.len().max(1));
-    let queue: Mutex<VecDeque<ChunkPlan>> = Mutex::new(missing);
-    let done = AtomicUsize::new(resumed);
-    let computed = AtomicUsize::new(0);
+    let open = match open_job(store, spec, &factory).map_err(|e| e.to_string())? {
+        Opened::Done(done) => return Ok(done),
+        Opened::Open(open) => *open,
+    };
+    let expected = encode_record(&GoldenFingerprint::of(&open.prepared));
+    let job = open.job;
+    let total = open.plans.len();
+    let resumed = total - open.missing.len();
+    let leases = plan_leases(&open.missing, spec.cfg.workers, worker_procs);
+    let procs = worker_procs.min(leases.len());
+    let queue = Mutex::new(VecDeque::from(leases));
+    let publisher = ChunkPublisher::new(store);
 
     let mut workers = Vec::with_capacity(procs);
     for _ in 0..procs {
@@ -252,10 +226,7 @@ fn run_sharded(
     std::thread::scope(|scope| -> Result<(), String> {
         let mut handles = Vec::with_capacity(workers.len());
         for (wi, mut worker) in workers.into_iter().enumerate() {
-            let queue = &queue;
-            let done = &done;
-            let computed = &computed;
-            let expected = &expected;
+            let (queue, publisher, expected) = (&queue, &publisher, &expected);
             handles.push(scope.spawn(move || -> Result<(), String> {
                 let ready: WorkerReady = read_frame(&mut worker.stdout)
                     .map_err(|e| format!("worker {wi}: {e}"))?
@@ -266,48 +237,23 @@ fn run_sharded(
                          refusing to shard across divergent machines"
                     ));
                 }
-                let timed = metrics::enabled();
-                loop {
-                    let plan = match queue.lock().expect("queue lock").pop_front() {
-                        Some(p) => p,
-                        None => break,
-                    };
-                    let t_chunk = timed.then(Instant::now);
-                    write_frame(&mut worker.stdin, &WorkerTask { plan })
-                        .map_err(|e| format!("worker {wi}: {e}"))?;
-                    let reply: WorkerChunk = read_frame(&mut worker.stdout)
-                        .map_err(|e| format!("worker {wi}: {e}"))?
-                        .ok_or_else(|| format!("worker {wi} died running chunk {}", plan.index))?;
-                    if let Some(t) = t_chunk {
-                        // Dispatch→reply wall time is this worker's busy
-                        // window: the parent thread does nothing else
-                        // between the frames.
-                        let us = micros_since(t);
-                        let reg = metrics::global();
-                        reg.histogram("serve.worker.chunk_us").observe(us);
-                        reg.counter(&format!("serve.worker{wi}.busy_us")).add(us);
-                        reg.counter(&format!("serve.worker{wi}.frames")).add(2);
-                    }
-                    let chunk = reply.chunk;
-                    if chunk.job != job
-                        || chunk.index != plan.index
-                        || chunk.start != plan.start
-                        || chunk.records.len() != plan.len
-                    {
-                        return Err(format!(
-                            "worker {wi} returned chunk {} for the wrong slot",
-                            chunk.index
-                        ));
-                    }
-                    store_chunk(store, &chunk).map_err(|e| e.to_string())?;
-                    let so_far = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    eprintln!(
-                        "sim-serve: job {} chunk {} published ({so_far}/{total})",
-                        short(&job),
-                        plan.index
-                    );
-                    maybe_crash_after(computed.fetch_add(1, Ordering::Relaxed) + 1);
-                }
+                drive_worker(
+                    wi,
+                    &job,
+                    &mut worker.stdout,
+                    &mut worker.stdin,
+                    || queue.lock().expect("queue lock").pop_front(),
+                    |chunk| {
+                        let fresh = publisher.publish(chunk).map_err(|e| e.to_string())?;
+                        eprintln!(
+                            "sim-serve: job {} chunk {} published ({}/{total})",
+                            short(&job),
+                            chunk.index,
+                            resumed + fresh
+                        );
+                        Ok(())
+                    },
+                )?;
                 // Closing stdin is the shutdown signal.
                 drop(worker.stdin);
                 let status = worker
@@ -332,22 +278,75 @@ fn run_sharded(
         }
     })?;
 
-    // Reload every chunk from the store — assembly runs over published
-    // bytes, not in-memory copies, so what we summarize is what survived.
-    let mut chunks: Vec<ChunkRecord> = Vec::with_capacity(plans.len());
-    for &plan in &plans {
-        match load_chunk(store, &job, plan).map_err(|e| e.to_string())? {
-            Some(c) => chunks.push(c),
-            None => return Err(format!("chunk {} missing after shard run", plan.index)),
+    open.finish(store, spec, &publisher, ace_for(workload, spec))
+        .map_err(|e| e.to_string())
+}
+
+/// One worker's side of the lease conversation. Each lease from `next`
+/// goes out as one [`WorkerTask`]; the worker answers with one
+/// [`WorkerChunk`] per chunk, and every reply is checked against its slot
+/// (job, index, start, trial count) before any chunk of that lease
+/// reaches `publish`. The worker's next lease is dispatched before the
+/// current lease's chunks are published, so the worker computes while the
+/// parent fsyncs. A short or mis-slotted reply fails the job with an
+/// error; nothing of the failing lease is published.
+fn drive_worker<R: Read, W: Write>(
+    wi: usize,
+    job: &ObjectId,
+    rx: &mut R,
+    tx: &mut W,
+    mut next: impl FnMut() -> Option<Vec<ChunkPlan>>,
+    mut publish: impl FnMut(&ChunkRecord) -> Result<(), String>,
+) -> Result<(), String> {
+    // Handles resolved once per worker, not per lease.
+    let timers = metrics::enabled().then(|| {
+        let reg = metrics::global();
+        (
+            reg.histogram("serve.worker.chunk_us"),
+            reg.counter(&format!("serve.worker{wi}.busy_us")),
+            reg.counter(&format!("serve.worker{wi}.frames")),
+        )
+    });
+    let mut dispatch = |lease: Vec<ChunkPlan>| -> Result<(Vec<ChunkPlan>, Instant), String> {
+        let task = WorkerTask { lease };
+        let sent = Instant::now();
+        write_frame(tx, &task).map_err(|e| format!("worker {wi}: {e}"))?;
+        Ok((task.lease, sent))
+    };
+    let mut inflight = next().map(&mut dispatch).transpose()?;
+    while let Some((lease, sent)) = inflight {
+        let mut chunks = Vec::with_capacity(lease.len());
+        for plan in &lease {
+            let chunk = read_frame::<WorkerChunk, _>(rx)
+                .map_err(|e| format!("worker {wi}: {e}"))?
+                .ok_or_else(|| format!("worker {wi} died running chunk {}", plan.index))?
+                .chunk;
+            if chunk.job != *job
+                || chunk.index != plan.index
+                || chunk.start != plan.start
+                || chunk.records.len() != plan.len
+            {
+                return Err(format!(
+                    "worker {wi} returned chunk {} for the wrong slot (expected chunk {})",
+                    chunk.index, plan.index
+                ));
+            }
+            chunks.push(chunk);
+        }
+        if let Some((chunk_us, busy_us, frames)) = &timers {
+            // Dispatch→last reply is this worker's busy window for the
+            // lease: it computes from the task frame to its last chunk.
+            let us = micros_since(sent);
+            chunk_us.observe(us);
+            busy_us.add(us);
+            frames.add(1 + lease.len() as u64);
+        }
+        inflight = next().map(&mut dispatch).transpose()?;
+        for chunk in &chunks {
+            publish(chunk)?;
         }
     }
-    let result = assemble_result(store, &job, spec, chunks, ace_for(workload, spec))
-        .map_err(|e| e.to_string())?;
-    Ok(StoredOutcome {
-        result,
-        resumed_chunks: resumed,
-        computed_chunks: computed.load(Ordering::Relaxed),
-    })
+    Ok(())
 }
 
 /// Worker-process entry point: speak the protocol on stdin/stdout until
@@ -372,19 +371,11 @@ pub fn worker_main() -> Result<(), String> {
     while let Some(task) =
         read_frame::<WorkerTask, _>(&mut stdin).map_err(|e| format!("reading task: {e}"))?
     {
-        let records = run_chunk(&prepared, &factory, task.plan, spec.cfg.workers);
-        write_frame(
-            &mut stdout,
-            &WorkerChunk {
-                chunk: ChunkRecord {
-                    job,
-                    index: task.plan.index,
-                    start: task.plan.start,
-                    records,
-                },
-            },
-        )
-        .map_err(|e| format!("sending chunk {}: {e}", task.plan.index))?;
+        for chunk in run_lease(&prepared, &factory, &job, &task.lease, spec.cfg.workers) {
+            let index = chunk.index;
+            write_frame(&mut stdout, &WorkerChunk { chunk })
+                .map_err(|e| format!("sending chunk {index}: {e}"))?;
+        }
     }
     Ok(())
 }
@@ -508,4 +499,135 @@ pub fn drain_queue(
 /// Abbreviated job id for log lines.
 pub fn short(id: &ObjectId) -> String {
     id.to_hex()[..12].to_string()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sim_inject::{FaultTarget, Outcome, TrialRecord};
+    use sim_store::{
+        campaign::{chunk_ref, result_ref},
+        plan_chunks,
+    };
+
+    fn temp_store(tag: &str) -> (Store, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("sim-serve-unit-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        (Store::open(&dir).unwrap(), dir)
+    }
+
+    fn chunk(job: ObjectId, plan: ChunkPlan) -> ChunkRecord {
+        ChunkRecord {
+            job,
+            index: plan.index,
+            start: plan.start,
+            records: (plan.start..plan.start + plan.len)
+                .map(|trial| TrialRecord {
+                    target: FaultTarget::Iq,
+                    trial,
+                    entry: 0,
+                    bit: 0,
+                    cycle: 0,
+                    landing: Landing::Injected,
+                    outcome: Outcome::Masked,
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn short_or_misslotted_replies_fail_the_job_and_publish_only_validated_chunks() {
+        let job = ObjectId::of(b"lease protocol test job");
+        let plans = plan_chunks(13, 4);
+        let leases = vec![plans[..2].to_vec(), plans[2..].to_vec()];
+        let mut truncated = chunk(job, plans[2]);
+        truncated.records.pop();
+        let bad_second_leases = [
+            (
+                "wrong slot",
+                vec![chunk(job, plans[3]), chunk(job, plans[2])],
+            ),
+            ("wrong slot", vec![truncated]),
+            ("died running chunk 3", vec![chunk(job, plans[2])]),
+            ("died running chunk 2", Vec::new()),
+        ];
+        for (i, (expect, second)) in bad_second_leases.into_iter().enumerate() {
+            let (store, dir) = temp_store(&format!("lease-{i}"));
+            let publisher = ChunkPublisher::new(&store);
+            // The worker answers its first lease in full, then misbehaves.
+            let mut replies = Vec::new();
+            for reply in [chunk(job, plans[0]), chunk(job, plans[1])]
+                .into_iter()
+                .chain(second)
+            {
+                write_frame(&mut replies, &WorkerChunk { chunk: reply }).unwrap();
+            }
+            let mut sent = Vec::new();
+            let mut queue = VecDeque::from(leases.clone());
+            let err = drive_worker(
+                0,
+                &job,
+                &mut &replies[..],
+                &mut sent,
+                || queue.pop_front(),
+                |c| publisher.publish(c).map(|_| ()).map_err(|e| e.to_string()),
+            )
+            .unwrap_err();
+            assert!(err.contains(expect), "case {i}: {err}");
+            // Both leases went out: the second before the first was published.
+            let mut r = &sent[..];
+            for lease in &leases {
+                let task: WorkerTask = read_frame(&mut r).unwrap().unwrap();
+                assert_eq!(&task.lease, lease);
+            }
+            // Exactly the validated first lease reached the store.
+            let names: Vec<String> = store
+                .refs("jobs/")
+                .unwrap()
+                .into_iter()
+                .map(|(n, _)| n)
+                .collect();
+            assert_eq!(
+                names,
+                vec![chunk_ref(&job, 0), chunk_ref(&job, 1)],
+                "case {i}"
+            );
+            assert_eq!(publisher.published(), (2, 8));
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
+    #[test]
+    fn resumed_job_counts_the_trials_it_computed_not_whole_chunks() {
+        let (_, dir) = temp_store("tail-trials");
+        let workload = resolve_workload("2T-MIX-A").unwrap();
+        let mut cfg = smt_avf::experiments::campaign::default_campaign(
+            &workload,
+            13,
+            5,
+            smt_avf::ExperimentScale::quick(),
+        );
+        cfg.targets = vec![FaultTarget::Iq];
+        cfg.workers = 1;
+        let spec = JobSpec {
+            name: "tail-trials".to_string(),
+            workload: workload.name.clone(),
+            cfg,
+            chunk_trials: 4,
+        };
+        let first = run_job(&dir, &spec, 1).unwrap();
+        assert_eq!((first.resumed_chunks, first.computed_chunks), (0, 4));
+        assert_eq!(first.metrics.trials, 13);
+
+        // Forget the one-trial tail chunk and the result: the resume
+        // recomputes only the tail.
+        for name in [chunk_ref(&first.job, 3), result_ref(&first.job)] {
+            std::fs::remove_file(dir.join("refs").join(name)).unwrap();
+        }
+        let second = run_job(&dir, &spec, 1).unwrap();
+        assert_eq!((second.resumed_chunks, second.computed_chunks), (3, 1));
+        assert_eq!(second.metrics.trials, 1, "the tail chunk holds one trial");
+        assert_eq!(encode_record(&second.result), encode_record(&first.result));
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }

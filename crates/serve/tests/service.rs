@@ -1,13 +1,17 @@
 //! Service-level equivalence tests, driven through the real `sim-serve`
-//! binary (the same code path CI's smoke step exercises):
+//! binary (the same code path CI's smoke step exercises). Every
+//! equivalence is against the scalar oracle — the same job run in-process
+//! with `--lanes 0` — so the lane-batched default is held to it too:
 //!
-//! * **Shard equivalence** — the same job run in-process, with 1, 2 and
-//!   4 worker processes, into separate stores, publishes byte-identical
-//!   result objects (trial records, summaries, and ACE report included).
+//! * **Shard equivalence** — the same job run with 1, 2 and 4 worker
+//!   processes, into separate stores, publishes result objects
+//!   byte-identical to the scalar reference (trial records, summaries,
+//!   and ACE report included).
 //! * **Crash-resume equivalence** — a run killed after its first
-//!   published chunk (`SIM_STORE_CRASH_AFTER_CHUNKS`, a `kill -9`
-//!   equivalent that leaves the writer lock behind) resumes to a result
-//!   byte-identical to an uninterrupted run.
+//!   published chunks (`SIM_STORE_CRASH_AFTER_CHUNKS`, a `kill -9`
+//!   equivalent that leaves the writer lock behind), in-process or
+//!   sharded and mid-lease, resumes to a store byte-identical to the
+//!   reference, reusing exactly the chunks that were published.
 //! * **fsck** — a deliberately corrupted object makes `sim-serve fsck`
 //!   fail closed.
 
@@ -23,34 +27,59 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The quick campaign every test submits: tiny but real (two targets,
+/// The quick campaign most tests submit: tiny but real (two targets,
 /// chunk smaller than the trial count so resume has several chunks to
 /// work with).
-fn submit(store: &Path, extra: &[(&str, &str)], procs: usize) -> Output {
+const SMALL_JOB: &[&str] = &[
+    "--workload",
+    "2T-MIX-A",
+    "--trials",
+    "4",
+    "--seed",
+    "9",
+    "--targets",
+    "iq,regfile",
+    "--chunk",
+    "3",
+    "--workers",
+    "1",
+];
+
+/// Submit `job` into `store` with extra environment `env`, in-process or
+/// across `procs` worker processes.
+fn submit_job(store: &Path, job: &[&str], env: &[(&str, &str)], procs: usize) -> Output {
     let mut cmd = Command::new(EXE);
     cmd.args(["submit", "--store", store.to_str().unwrap()]);
-    cmd.args([
-        "--workload",
-        "2T-MIX-A",
-        "--trials",
-        "4",
-        "--seed",
-        "9",
-        "--targets",
-        "iq,regfile",
-        "--chunk",
-        "3",
-        "--workers",
-        "1",
-    ]);
+    cmd.args(job);
     if procs > 1 {
         cmd.args(["--worker-procs", &procs.to_string()]);
     }
     cmd.env_remove("SIM_STORE_CRASH_AFTER_CHUNKS");
-    for (k, v) in extra {
+    for (k, v) in env {
         cmd.env(k, v);
     }
     cmd.output().expect("spawn sim-serve")
+}
+
+fn submit(store: &Path, env: &[(&str, &str)], procs: usize) -> Output {
+    submit_job(store, SMALL_JOB, env, procs)
+}
+
+fn assert_ok(out: &Output, what: &str) {
+    assert!(
+        out.status.success(),
+        "{what}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// Run `job` in-process on the scalar oracle (`--lanes 0`) into a fresh
+/// store and return its directory.
+fn scalar_reference(tag: &str, job: &[&str]) -> PathBuf {
+    let dir = fresh_dir(tag);
+    let scalar: Vec<&str> = job.iter().copied().chain(["--lanes", "0"]).collect();
+    assert_ok(&submit_job(&dir, &scalar, &[], 1), "scalar reference");
+    dir
 }
 
 /// The single result record a store holds, as raw canonical bytes.
@@ -67,23 +96,10 @@ fn result_bytes(store_dir: &Path) -> Vec<u8> {
 
 #[test]
 fn sharding_does_not_change_a_single_byte() {
-    let serial = fresh_dir("serial");
-    let out = submit(&serial, &[], 1);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let reference = result_bytes(&serial);
-
-    for procs in [2, 4] {
+    let reference = result_bytes(&scalar_reference("serial", SMALL_JOB));
+    for procs in [1, 2, 4] {
         let dir = fresh_dir(&format!("procs{procs}"));
-        let out = submit(&dir, &[], procs);
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
+        assert_ok(&submit(&dir, &[], procs), "sharded submit");
         assert_eq!(
             result_bytes(&dir),
             reference,
@@ -94,15 +110,7 @@ fn sharding_does_not_change_a_single_byte() {
 
 #[test]
 fn kill_minus_nine_then_resume_is_byte_identical() {
-    // Uninterrupted reference.
-    let clean = fresh_dir("clean");
-    let out = submit(&clean, &[], 1);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let reference = result_bytes(&clean);
+    let reference = result_bytes(&scalar_reference("clean", SMALL_JOB));
 
     // Crash after each possible number of published chunks (the job has
     // three), resume, and demand identical bytes every time.
@@ -121,11 +129,7 @@ fn kill_minus_nine_then_resume_is_byte_identical() {
         // take it over (the recorded pid is dead) and finish the job.
         assert!(dir.join("LOCK").exists(), "abort should leave LOCK behind");
         let out = submit(&dir, &[], 1);
-        assert!(
-            out.status.success(),
-            "resume after crash-at-{crash_after}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
+        assert_ok(&out, &format!("resume after crash-at-{crash_after}"));
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
             stderr.contains(&format!("{crash_after} chunks resumed")),
@@ -141,25 +145,103 @@ fn kill_minus_nine_then_resume_is_byte_identical() {
 
 #[test]
 fn sharded_crash_then_resume_is_byte_identical() {
-    let clean = fresh_dir("shard-clean");
-    let out = submit(&clean, &[], 1);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let reference = result_bytes(&clean);
+    let reference = result_bytes(&scalar_reference("shard-clean", SMALL_JOB));
 
     let dir = fresh_dir("shard-crash");
     let out = submit(&dir, &[("SIM_STORE_CRASH_AFTER_CHUNKS", "1")], 2);
     assert!(!out.status.success(), "crash hook must kill the parent");
     let out = submit(&dir, &[], 2);
-    assert!(
-        out.status.success(),
-        "sharded resume: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    assert_ok(&out, "sharded resume");
     assert_eq!(result_bytes(&dir), reference);
+}
+
+/// 67 trials x 2 targets in 5-trial chunks: 27 chunks, the last one 4
+/// trials short, and 5 does not divide the 64-trial lease width, so a
+/// one-thread worker's lease is 12 chunks (60 trials).
+const LEASE_JOB: &[&str] = &[
+    "--workload",
+    "2T-MIX-A",
+    "--trials",
+    "67",
+    "--seed",
+    "21",
+    "--targets",
+    "iq,regfile",
+    "--chunk",
+    "5",
+    "--workers",
+    "1",
+];
+
+/// Chunks published in a store.
+fn published_chunks(dir: &Path) -> usize {
+    let refs = Store::open(dir).unwrap().refs("jobs/").unwrap();
+    refs.iter()
+        .filter(|(name, _)| name.contains("/chunks/"))
+        .count()
+}
+
+/// Run [`LEASE_JOB`] into `dir` across two worker processes with the
+/// crash hook armed to abort after `after` fresh chunks.
+fn crash_sharded(dir: &Path, after: usize) {
+    let out = submit_job(
+        dir,
+        LEASE_JOB,
+        &[("SIM_STORE_CRASH_AFTER_CHUNKS", &after.to_string())],
+        2,
+    );
+    assert!(!out.status.success(), "crash hook must kill the parent");
+}
+
+/// Finish [`LEASE_JOB`] in `dir` across two worker processes and demand
+/// the run reuses exactly `resumed` published chunks.
+fn resume_sharded(dir: &Path, resumed: usize) {
+    let out = submit_job(dir, LEASE_JOB, &[], 2);
+    assert_ok(&out, "sharded lease resume");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("{resumed} chunks resumed")),
+        "resume should reuse exactly {resumed} chunks: {stderr}"
+    );
+}
+
+#[test]
+fn sharded_crash_mid_lease_resumes_around_holes_byte_identically() {
+    let want = object_and_ref_bytes(&scalar_reference("lease-ref", LEASE_JOB));
+
+    // Crash two worker processes three publishes in, while both hold a
+    // lease: whichever chunks landed, exactly three did.
+    let dir = fresh_dir("lease-crash");
+    crash_sharded(&dir, 3);
+    assert_eq!(published_chunks(&dir), 3);
+    resume_sharded(&dir, 3);
+    assert_eq!(object_and_ref_bytes(&dir), want);
+
+    // Pin non-contiguous holes deterministically: drop the refs of chunks
+    // 1, 5..=7, 20 and the short tail 26 (and the result) from the
+    // finished store, as a run of crashes could leave them. The
+    // resume leases around the holes, crashes mid-lease two publishes in,
+    // and the final resume reuses every published chunk.
+    let job_refs = job_refs_dir(&dir);
+    std::fs::remove_file(job_refs.join("result")).unwrap();
+    for hole in [1, 5, 6, 7, 20, 26] {
+        std::fs::remove_file(job_refs.join("chunks").join(format!("{hole:06}"))).unwrap();
+    }
+    crash_sharded(&dir, 2);
+    assert_eq!(published_chunks(&dir), 23);
+    resume_sharded(&dir, 23);
+    assert_eq!(
+        object_and_ref_bytes(&dir),
+        want,
+        "resuming around holes changed the store's objects or refs"
+    );
+}
+
+/// `refs/jobs/<id>` of the one job a store holds.
+fn job_refs_dir(dir: &Path) -> PathBuf {
+    let refs = Store::open(dir).unwrap().refs("jobs/").unwrap();
+    let job = refs[0].0.split('/').nth(1).expect("jobs/<id>/...");
+    dir.join("refs").join("jobs").join(job)
 }
 
 #[test]

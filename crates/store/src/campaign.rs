@@ -25,6 +25,16 @@
 //! `splitmix64(seed, i)` alone, so which process computes a chunk — or
 //! how many times a prefix was recomputed before a crash — cannot change
 //! the bytes of any record.
+//!
+//! # Leases
+//!
+//! The chunk is the unit of storage; the *lease* is the unit of work. A
+//! lease is a run of consecutive missing chunks holding at most one full
+//! lane batch ([`MAX_LANES`] trials) per campaign worker thread, executed
+//! as one trial range and published chunk by chunk. Small chunks keep a
+//! kill cheap (it loses at most the leases in flight) while the lane
+//! engine still fills whole batches. [`run_lease`] is the one execution
+//! path for both the in-process run and `sim-serve`'s worker processes.
 
 use crate::codec::Codec;
 use crate::record::{decode_record, encode_record, CodecError};
@@ -33,11 +43,13 @@ use crate::store::{ObjectId, Store, StoreError, WriterLock};
 use crate::wire::{Decoder, Encoder, WireError};
 use avf_core::AvfReport;
 use sim_inject::{
-    summarize, CampaignConfig, InjectError, PreparedCampaign, TargetSummary, TrialRecord,
+    summarize, CampaignConfig, InjectError, PreparedCampaign, TargetSummary, TrialRecord, MAX_LANES,
 };
 use sim_pipeline::SmtCore;
 use sim_workload::InstSource;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Default trials per persisted chunk: small enough that a kill loses
 /// little work, large enough that publish overhead stays negligible.
@@ -136,6 +148,37 @@ pub fn plan_chunks(total: usize, chunk_trials: usize) -> Vec<ChunkPlan> {
             len: per.min(total - index * per),
         })
         .collect()
+}
+
+/// Group `missing` chunks into leases for `procs` parallel executors:
+/// runs of consecutive chunks holding at most [`MAX_LANES`] trials per
+/// campaign worker thread (`workers`), capped further at an even share
+/// of the missing trials so every executor gets work on a small job. A chunk larger than the cap is a lease of its own. The lease
+/// shape changes only wall clock: records are a pure function of their
+/// trial index.
+pub fn plan_leases(missing: &[ChunkPlan], workers: usize, procs: usize) -> Vec<Vec<ChunkPlan>> {
+    let total: usize = missing.iter().map(|p| p.len).sum();
+    let cap = (MAX_LANES * workers.max(1))
+        .min(total.div_ceil(procs.max(1)))
+        .max(1);
+    let mut leases: Vec<Vec<ChunkPlan>> = Vec::new();
+    let mut trials = 0;
+    for &plan in missing {
+        match leases.last_mut() {
+            Some(lease)
+                if lease.last().is_some_and(|p| p.index + 1 == plan.index)
+                    && trials + plan.len <= cap =>
+            {
+                lease.push(plan);
+                trials += plan.len;
+            }
+            _ => {
+                leases.push(vec![plan]);
+                trials = plan.len;
+            }
+        }
+    }
+    leases
 }
 
 /// One completed, published chunk of trials.
@@ -291,11 +334,13 @@ pub struct StoredOutcome {
     pub resumed_chunks: usize,
     /// Chunks computed by this run.
     pub computed_chunks: usize,
+    /// Trials in the chunks computed by this run.
+    pub computed_trials: usize,
 }
 
 /// Load, validate and return chunk `plan` of `job` if it is already
 /// published; `Ok(None)` when absent.
-pub fn load_chunk(
+fn load_chunk(
     store: &Store,
     job: &ObjectId,
     plan: ChunkPlan,
@@ -323,7 +368,7 @@ pub fn load_chunk(
 }
 
 /// Publish `chunk` and point its ref at it.
-pub fn store_chunk(store: &Store, chunk: &ChunkRecord) -> Result<(), CampaignStoreError> {
+fn store_chunk(store: &Store, chunk: &ChunkRecord) -> Result<(), CampaignStoreError> {
     use sim_trace::metrics;
     let t = metrics::enabled().then(std::time::Instant::now);
     let id = store.put(&encode_record(chunk))?;
@@ -337,25 +382,68 @@ pub fn store_chunk(store: &Store, chunk: &ChunkRecord) -> Result<(), CampaignSto
     Ok(())
 }
 
-/// Crash hook for the crash-equivalence tests: when
-/// `SIM_STORE_CRASH_AFTER_CHUNKS=N` is set and this run has published
-/// `fresh` new chunks, die exactly like `kill -9` would (no unwinding, no
-/// cleanup, the LOCK file stays behind).
-pub fn maybe_crash_after(fresh: usize) {
-    if let Ok(v) = std::env::var("SIM_STORE_CRASH_AFTER_CHUNKS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if fresh >= n {
-                eprintln!("sim-store: SIM_STORE_CRASH_AFTER_CHUNKS={n} reached, aborting");
-                std::process::abort();
-            }
+/// Publishes the chunks one run computes, from any number of threads, and
+/// counts them.
+///
+/// It also owns the crash hook of the crash-equivalence tests: with
+/// `SIM_STORE_CRASH_AFTER_CHUNKS=N` set, the process dies right after
+/// this run's `N`-th fresh chunk is published, exactly like `kill -9`
+/// would (no unwinding, no cleanup, the LOCK file stays behind).
+pub struct ChunkPublisher<'a> {
+    store: &'a Store,
+    crash_after: Option<usize>,
+    turn: Mutex<()>,
+    chunks: AtomicUsize,
+    trials: AtomicUsize,
+}
+
+impl<'a> ChunkPublisher<'a> {
+    /// A publisher into `store`, reading the crash hook from the
+    /// environment.
+    pub fn new(store: &'a Store) -> ChunkPublisher<'a> {
+        ChunkPublisher {
+            store,
+            crash_after: std::env::var("SIM_STORE_CRASH_AFTER_CHUNKS")
+                .ok()
+                .and_then(|v| v.trim().parse().ok()),
+            turn: Mutex::new(()),
+            chunks: AtomicUsize::new(0),
+            trials: AtomicUsize::new(0),
         }
+    }
+
+    /// Publish `chunk` and return how many fresh chunks this run has
+    /// published, this one included.
+    pub fn publish(&self, chunk: &ChunkRecord) -> Result<usize, CampaignStoreError> {
+        // With the hook armed, concurrent publishers take turns so that
+        // "after N chunks" is exactly N chunks on disk.
+        let _turn = self
+            .crash_after
+            .map(|_| self.turn.lock().unwrap_or_else(PoisonError::into_inner));
+        store_chunk(self.store, chunk)?;
+        let n = self.chunks.fetch_add(1, Ordering::Relaxed) + 1;
+        self.trials
+            .fetch_add(chunk.records.len(), Ordering::Relaxed);
+        if let Some(limit) = self.crash_after.filter(|&limit| n >= limit) {
+            eprintln!("sim-store: SIM_STORE_CRASH_AFTER_CHUNKS={limit} reached, aborting");
+            std::process::abort();
+        }
+        Ok(n)
+    }
+
+    /// Fresh `(chunks, trials)` published so far.
+    pub fn published(&self) -> (usize, usize) {
+        (
+            self.chunks.load(Ordering::Relaxed),
+            self.trials.load(Ordering::Relaxed),
+        )
     }
 }
 
 /// Prepare `spec`'s campaign and reconcile it with the store: publish the
 /// spec, then publish or verify the golden fingerprint (fail closed on
 /// divergence with a previous run).
-pub fn prepare_stored<S, F>(
+fn prepare_stored<S, F>(
     store: &Store,
     spec: &JobSpec,
     factory: &F,
@@ -392,9 +480,110 @@ where
     Ok((job, prepared))
 }
 
-/// Run `spec` against `store`: resume from published chunks, compute and
-/// publish the missing ones, then assemble, summarize, attach the ACE
-/// reference report from `ace`, and publish the result.
+/// A job opened for computing: the store's writer lock is held, the
+/// golden fingerprint is reconciled with the store, and `missing` lists
+/// the chunks no earlier run published.
+pub struct OpenJob<S> {
+    /// The job's identity.
+    pub job: ObjectId,
+    /// The prepared campaign (golden run + checkpoints).
+    pub prepared: PreparedCampaign<S>,
+    /// Every chunk of the job, in order.
+    pub plans: Vec<ChunkPlan>,
+    /// The chunks this run must compute.
+    pub missing: Vec<ChunkPlan>,
+    _lock: WriterLock,
+}
+
+/// What [`open_job`] found.
+pub enum Opened<S> {
+    /// The result is already published: nothing to compute.
+    Done(StoredOutcome),
+    /// The job's missing chunks need computing.
+    Open(Box<OpenJob<S>>),
+}
+
+/// Open `spec` for computing: return its published result if there is
+/// one, otherwise take the writer lock, reconcile the golden state, and
+/// find the chunks still missing.
+pub fn open_job<S, F>(
+    store: &Store,
+    spec: &JobSpec,
+    factory: &F,
+) -> Result<Opened<S>, CampaignStoreError>
+where
+    S: InstSource + Clone,
+    F: Fn() -> SmtCore<S>,
+{
+    let finished = || -> Result<Option<StoredOutcome>, CampaignStoreError> {
+        Ok(load_result(store, &spec.id())?.map(|result| StoredOutcome {
+            result,
+            resumed_chunks: plan_chunks(spec.total_trials(), spec.chunk_trials).len(),
+            computed_chunks: 0,
+            computed_trials: 0,
+        }))
+    };
+    if let Some(done) = finished()? {
+        return Ok(Opened::Done(done));
+    }
+    let lock = store.lock()?;
+    // Someone else may have finished between the check and the lock.
+    if let Some(done) = finished()? {
+        return Ok(Opened::Done(done));
+    }
+    let (job, prepared) = prepare_stored(store, spec, factory)?;
+    let plans = plan_chunks(prepared.total_trials(), spec.chunk_trials);
+    let mut missing = Vec::new();
+    for &plan in &plans {
+        if load_chunk(store, &job, plan)?.is_none() {
+            missing.push(plan);
+        }
+    }
+    Ok(Opened::Open(Box::new(OpenJob {
+        job,
+        prepared,
+        plans,
+        missing,
+        _lock: lock,
+    })))
+}
+
+impl<S> OpenJob<S> {
+    /// Reload every chunk from the store — assembly runs over published
+    /// bytes, not in-memory copies, so what is summarized is what
+    /// survived — then assemble, attach the ACE report from `ace`, and
+    /// publish the result.
+    pub fn finish<A>(
+        self,
+        store: &Store,
+        spec: &JobSpec,
+        publisher: &ChunkPublisher<'_>,
+        ace: A,
+    ) -> Result<StoredOutcome, CampaignStoreError>
+    where
+        A: FnOnce() -> Result<AvfReport, String>,
+    {
+        let mut chunks = Vec::with_capacity(self.plans.len());
+        for &plan in &self.plans {
+            chunks.push(load_chunk(store, &self.job, plan)?.ok_or_else(|| {
+                CampaignStoreError::Diverged(format!("chunk {} missing after the run", plan.index))
+            })?);
+        }
+        let result = assemble_result(store, &self.job, spec, chunks, ace)?;
+        let (computed_chunks, computed_trials) = publisher.published();
+        Ok(StoredOutcome {
+            result,
+            resumed_chunks: self.plans.len() - self.missing.len(),
+            computed_chunks,
+            computed_trials,
+        })
+    }
+}
+
+/// Run `spec` against `store` in this process: resume from published
+/// chunks, compute the missing ones lease by lease and publish each
+/// chunk, then assemble, summarize, attach the ACE reference report from
+/// `ace`, and publish the result.
 ///
 /// Holds the store's writer lock for the duration. Idempotent: if the
 /// result is already published it is returned as-is (after validating it
@@ -411,85 +600,63 @@ where
     F: Fn() -> SmtCore<S> + Sync,
     A: FnOnce() -> Result<AvfReport, String>,
 {
-    let job = spec.id();
-    if let Some(done) = load_result(store, &job)? {
-        return Ok(StoredOutcome {
-            result: done,
-            resumed_chunks: plan_chunks(spec.total_trials(), spec.chunk_trials).len(),
-            computed_chunks: 0,
-        });
+    let open = match open_job(store, spec, factory)? {
+        Opened::Done(done) => return Ok(done),
+        Opened::Open(open) => *open,
+    };
+    let publisher = ChunkPublisher::new(store);
+    for lease in plan_leases(&open.missing, spec.cfg.workers, 1) {
+        for chunk in run_lease(&open.prepared, factory, &open.job, &lease, spec.cfg.workers) {
+            publisher.publish(&chunk)?;
+        }
     }
-    let _lock: WriterLock = store.lock()?;
-    // Someone else may have finished between the check and the lock.
-    if let Some(done) = load_result(store, &job)? {
-        return Ok(StoredOutcome {
-            result: done,
-            resumed_chunks: plan_chunks(spec.total_trials(), spec.chunk_trials).len(),
-            computed_chunks: 0,
-        });
-    }
-    let (job, prepared) = prepare_stored(store, spec, factory)?;
-    let plans = plan_chunks(prepared.total_trials(), spec.chunk_trials);
-    let mut chunks: Vec<ChunkRecord> = Vec::with_capacity(plans.len());
-    let mut resumed = 0usize;
-    let mut computed = 0usize;
-    for plan in plans {
-        let chunk = match load_chunk(store, &job, plan)? {
-            Some(c) => {
-                resumed += 1;
-                c
-            }
-            None => {
-                let records = run_chunk(&prepared, factory, plan, spec.cfg.workers);
-                let chunk = ChunkRecord {
-                    job,
-                    index: plan.index,
-                    start: plan.start,
-                    records,
-                };
-                store_chunk(store, &chunk)?;
-                computed += 1;
-                maybe_crash_after(computed);
-                chunk
-            }
-        };
-        chunks.push(chunk);
-    }
-    let result = assemble_result(store, &job, spec, chunks, ace)?;
-    Ok(StoredOutcome {
-        result,
-        resumed_chunks: resumed,
-        computed_chunks: computed,
-    })
+    open.finish(store, spec, &publisher, ace)
 }
 
-/// Execute one chunk's trials on `workers` threads; records come back in
-/// trial-index order regardless of scheduling. Honors the prepared
-/// campaign's [`CampaignConfig::lanes`] knob — lane batching changes only
-/// wall clock, never the records, so stored chunks (and the object ids
-/// derived from them) are byte-identical for any lane count.
+/// Execute `lease` — a run of consecutive chunks of `job` — as one trial
+/// range on `workers` threads and split the records back into its
+/// chunks, in order. One range lets the lane engine fill whole batches
+/// whatever the chunk size, and it honors the prepared campaign's
+/// [`CampaignConfig::lanes`] knob: lane batching changes only wall clock,
+/// never the records, so stored chunks (and the object ids derived from
+/// them) are byte-identical for any lane count and any lease shape.
 ///
-/// [`CampaignConfig::lanes`]: sim_inject::CampaignConfig::lanes
-pub fn run_chunk<S, F>(
+/// # Panics
+/// Panics if the lease's chunks are not consecutive.
+pub fn run_lease<S, F>(
     prepared: &PreparedCampaign<S>,
     factory: &F,
-    plan: ChunkPlan,
+    job: &ObjectId,
+    lease: &[ChunkPlan],
     workers: usize,
-) -> Vec<TrialRecord>
+) -> Vec<ChunkRecord>
 where
     S: InstSource + Clone + Sync,
     F: Fn() -> SmtCore<S> + Sync,
 {
-    sim_inject::run_trials_batched_full(prepared, factory, plan.start, plan.len, workers)
-        .0
-        .into_iter()
-        .map(|exec| exec.record)
+    let start = lease.first().map_or(0, |p| p.start);
+    let len = lease.iter().map(|p| p.len).sum();
+    let (execs, _, _) = sim_inject::run_trials_batched_full(prepared, factory, start, len, workers);
+    let mut records = execs.into_iter().map(|exec| exec.record);
+    let mut next = start;
+    lease
+        .iter()
+        .map(|plan| {
+            assert_eq!(plan.start, next, "lease chunks must be consecutive");
+            next += plan.len;
+            ChunkRecord {
+                job: *job,
+                index: plan.index,
+                start: plan.start,
+                records: records.by_ref().take(plan.len).collect(),
+            }
+        })
         .collect()
 }
 
 /// Assemble validated `chunks` into the job's final record, attach the
 /// ACE report, publish, and return it.
-pub fn assemble_result<A>(
+fn assemble_result<A>(
     store: &Store,
     job: &ObjectId,
     spec: &JobSpec,
@@ -559,5 +726,47 @@ mod tests {
             }
             assert_eq!(next, total, "total {total} per {per}");
         }
+    }
+
+    #[test]
+    fn leases_are_consecutive_runs_within_the_lane_budget() {
+        // 134 trials in 5-trial chunks (short 4-trial tail); chunks 3 and
+        // 20 already published, so the missing runs break there.
+        let plans = plan_chunks(134, 5);
+        let missing: Vec<ChunkPlan> = plans
+            .iter()
+            .copied()
+            .filter(|p| p.index != 3 && p.index != 20)
+            .collect();
+        for (workers, procs) in [(1, 1), (2, 1), (1, 2), (1, 64)] {
+            let leases = plan_leases(&missing, workers, procs);
+            let total: usize = missing.iter().map(|p| p.len).sum();
+            let cap = (MAX_LANES * workers).min(total.div_ceil(procs));
+            let flat: Vec<ChunkPlan> = leases.iter().flatten().copied().collect();
+            assert_eq!(flat, missing, "leases tile the missing chunks in order");
+            for lease in &leases {
+                assert!(!lease.is_empty());
+                let trials: usize = lease.iter().map(|p| p.len).sum();
+                assert!(
+                    trials <= cap.max(5),
+                    "{workers}w/{procs}p: {trials} > {cap}"
+                );
+                for w in lease.windows(2) {
+                    assert_eq!(w[0].index + 1, w[1].index, "consecutive chunks");
+                    assert_eq!(w[0].start + w[0].len, w[1].start);
+                }
+            }
+        }
+        // One worker, one executor: 12 five-trial chunks fill a 64-trial
+        // lease; the holes at chunks 3 and 20 end leases early.
+        let sizes: Vec<usize> = plan_leases(&missing, 1, 1)
+            .iter()
+            .map(|l| l.len())
+            .collect();
+        assert_eq!(sizes, vec![3, 12, 4, 6]);
+        // A chunk bigger than the cap is a lease of its own.
+        let big = plan_chunks(300, 100);
+        assert_eq!(plan_leases(&big, 1, 1).len(), 3);
+        assert!(plan_leases(&[], 1, 2).is_empty());
     }
 }

@@ -12,9 +12,9 @@
 //!   the key) with atomic tempfile-rename publishes, a single-writer
 //!   lock, named refs, and a fail-closed [`Store::fsck`].
 //! * [`snapshot`] + [`campaign`] — golden-run fingerprints and
-//!   chunk-grained persisted campaigns: a job killed at any point resumes
-//!   from its published chunks and finishes with bytes identical to an
-//!   uninterrupted run.
+//!   chunk-grained persisted campaigns, computed in leases of consecutive
+//!   chunks: a job killed at any point resumes from its published chunks
+//!   and finishes with bytes identical to an uninterrupted run.
 
 #![warn(missing_docs)]
 
@@ -27,9 +27,9 @@ pub mod store;
 pub mod wire;
 
 pub use campaign::{
-    assemble_result, load_chunk, load_result, maybe_crash_after, plan_chunks, prepare_stored,
-    run_campaign_stored, run_chunk, store_chunk, CampaignStoreError, ChunkPlan, ChunkRecord,
-    JobResultRecord, JobSpec, StoredOutcome, DEFAULT_CHUNK_TRIALS,
+    load_result, open_job, plan_chunks, plan_leases, run_campaign_stored, run_lease,
+    CampaignStoreError, ChunkPlan, ChunkPublisher, ChunkRecord, JobResultRecord, JobSpec, OpenJob,
+    Opened, StoredOutcome, DEFAULT_CHUNK_TRIALS,
 };
 pub use codec::{fsck_decode, Codec};
 pub use record::{decode_record, encode_record, fnv1a64, CodecError, FORMAT_VERSION, MAGIC};

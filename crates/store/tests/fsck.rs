@@ -32,7 +32,7 @@ fn sample_spec() -> JobSpec {
             replay_from_zero: false,
             progress: false,
             fast_forward: false,
-            lanes: 0,
+            lanes: sim_inject::MAX_LANES,
             targets: vec![FaultTarget::Iq],
         },
         chunk_trials: 2,

@@ -137,10 +137,19 @@ fn campaign_config_full_and_empty() {
         replay_from_zero: true,
         progress: false,
         fast_forward: true,
-        lanes: 0,
+        lanes: sim_inject::MAX_LANES,
         targets: ALL_TARGETS.to_vec(),
     };
     assert_roundtrip(&full);
+    // The lane count is an execution knob outside the encoding: a
+    // scalar config decodes at the production width.
+    let scalar = CampaignConfig {
+        lanes: 0,
+        ..full.clone()
+    };
+    assert_eq!(encode_record(&scalar), encode_record(&full));
+    let decoded: CampaignConfig = decode_record(&encode_record(&scalar)).unwrap();
+    assert_eq!(decoded.lanes, sim_inject::MAX_LANES);
     // An empty campaign (no targets) is not runnable, but it must still
     // round trip: the codec never guesses.
     let empty = CampaignConfig {
@@ -279,7 +288,7 @@ fn spec(targets: Vec<FaultTarget>, trials: usize) -> JobSpec {
             replay_from_zero: false,
             progress: false,
             fast_forward: true,
-            lanes: 0,
+            lanes: sim_inject::MAX_LANES,
             targets,
         },
         chunk_trials: 32,

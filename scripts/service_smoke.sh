@@ -13,13 +13,14 @@
 #   5. validate_avf --store must agree with the plain serial
 #      validate_avf on the rendered comparison table, and --resume must
 #      reuse the store.
-#   6. validate_avf --lanes 8 --store must produce a store byte-identical
-#      to the scalar one: the lane-batched engine changes wall clock,
-#      never bytes, and lane count is not part of job identity.
+#   6. validate_avf --lanes 0 --store (the scalar oracle) must produce a
+#      store byte-identical to the default 64-lane one from step 5: the
+#      lane-batched engine changes wall clock, never bytes, and lane
+#      count is not part of job identity.
 #   7. Same byte-identity through sim-serve end to end on a cache-heavy
 #      target mix (dl1data,dl1tag,dtlb,itlb) — the strikes that resolve
-#      through the consumption-feed watches — submitted scalar and with
-#      --lanes 8 into separate stores.
+#      through the consumption-feed watches — submitted with --lanes 0
+#      and with --lanes 8 into separate stores.
 #   8. Corrupt one object in B; fsck must fail closed.
 #
 # Usage: scripts/service_smoke.sh
@@ -68,14 +69,14 @@ echo "==> service smoke: validate_avf --resume reuses the store"
 "${VALIDATE[@]}" --store "$C" --resume > /dev/null
 
 echo "==> service smoke: lane-batched store is byte-identical to scalar"
-"${VALIDATE[@]}" --lanes 8 --store "$D" > /dev/null
+"${VALIDATE[@]}" --lanes 0 --store "$D" > /dev/null
 diff -r "$C/objects" "$D/objects"
 diff -r "$C/refs" "$D/refs"
 
 echo "==> service smoke: cache-heavy lane-batched submit is byte-identical"
 MEMSUBMIT=(submit --workload 2T-MIX-A --trials 4 --seed 9
   --targets dl1data,dl1tag,dtlb,itlb --chunk 3 --workers 1)
-"${SERVE[@]}" "${MEMSUBMIT[@]}" --store "$E"
+"${SERVE[@]}" "${MEMSUBMIT[@]}" --lanes 0 --store "$E"
 "${SERVE[@]}" "${MEMSUBMIT[@]}" --lanes 8 --store "$F"
 diff -r "$E/objects" "$F/objects"
 diff -r "$E/refs" "$F/refs"

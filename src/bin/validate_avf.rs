@@ -13,9 +13,10 @@
 //!
 //! Trials restore from K golden-run checkpoints by default;
 //! `--replay-from-zero` forces the slow oracle path (identical results,
-//! useful for timing comparisons and distrust). `--lanes N` runs up to N
-//! trials per batch on the lane-parallel lockstep engine (bit-identical
-//! to the scalar path; see DESIGN.md §5i); 0 keeps the scalar oracle.
+//! useful for timing comparisons and distrust). Trials ride the
+//! lane-parallel lockstep engine, 64 per batch by default (bit-identical
+//! to the scalar path; see DESIGN.md §5i); `--lanes N` narrows the batch
+//! and `--lanes 0` runs the scalar oracle.
 //!
 //! `--trace-out PATH` re-runs the ACE reference with pipeline tracing and
 //! writes Chrome Trace Event JSON (open in Perfetto or `chrome://tracing`).
@@ -54,7 +55,7 @@ fn parse_args() -> Result<Options, String> {
         scale: ExperimentScale::quick(),
         checkpoints: sim_inject::DEFAULT_CHECKPOINTS,
         replay_from_zero: false,
-        lanes: 0,
+        lanes: sim_inject::MAX_LANES,
         trace_out: None,
         telemetry_window: None,
         store: None,
@@ -124,7 +125,8 @@ fn parse_args() -> Result<Options, String> {
                      [--seed S] [--workers W] [--scale quick|default] \
                      [--checkpoints K] [--replay-from-zero] [--lanes N] \
                      [--store DIR] [--resume] [--chunk N] \
-                     [--trace-out PATH] [--telemetry-window N]"
+                     [--trace-out PATH] [--telemetry-window N]\n\
+                     (--lanes defaults to 64; 0 runs the scalar oracle)"
                     .to_string())
             }
             other => return Err(format!("unknown flag '{other}' (try --help)")),
@@ -261,7 +263,7 @@ fn main() -> ExitCode {
             format!("{} checkpoints", campaign.checkpoints)
         },
         if campaign.lanes > 0 && !campaign.replay_from_zero {
-            format!(", {} lanes (batched)", campaign.lanes.min(64))
+            format!(", {} lanes (batched)", campaign.lanes.min(sim_inject::MAX_LANES))
         } else {
             String::new()
         },

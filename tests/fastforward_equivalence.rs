@@ -109,6 +109,8 @@ fn sfi_campaign_records_are_identical_at_1_2_4_workers() {
         let mut c = CampaignConfig::new(5, 0xFA57_F0D0, budget);
         c.workers = workers;
         c.fast_forward = fast;
+        // Scalar trials: every trial core fast-forwards on its own.
+        c.lanes = 0;
         run_campaign(&factory, &c).expect("campaign runs")
     };
 

@@ -16,6 +16,9 @@ fn ace_avf_upper_bounds_sfi_for_pipeline_structures() {
         measure_per_thread: 5_000,
     };
     let mut campaign = default_campaign(&workload, 50, 2701, scale);
+    // Records are lane-count-independent; the bound is checked on the
+    // scalar oracle's.
+    campaign.lanes = 0;
     campaign.targets = vec![
         FaultTarget::Iq,
         FaultTarget::Rob,
